@@ -25,8 +25,7 @@ from .decompositions import (
     jsvd_to_polar,
     naive_dc_svd,
     penrose_check,
-    pinv_exists,
-    _jordan_pinv,
+    pinv,
 )
 from .errors import NoPseudoinverse, TessarineError
 from .explorer import PROFILES, conjecture_scan
@@ -105,16 +104,19 @@ def _load(args) -> DCMatrix:
     return load_pair(args.input)
 
 
+def _options(args) -> dict:
+    """Keyword arguments that every pair command passes to the library."""
+    return {
+        "rng": np.random.default_rng(args.seed),
+        "recon_tol": args.recon_tol,
+        "cluster_gap": args.cluster_gap,
+        "max_retries": args.max_retries,
+    }
+
+
 def cmd_check(args) -> int:
     m = _load(args)
-    _, report = attempt_jordan_svd(
-        m,
-        args.tol,
-        np.random.default_rng(args.seed),
-        recon_tol=args.recon_tol,
-        cluster_gap=args.cluster_gap,
-        max_retries=args.max_retries,
-    )
+    _, report = attempt_jordan_svd(m, args.tol, **_options(args))
     _emit({"command": "check", "tolerances": _tolerances(args),
            **report.as_dict()})
     return EXIT_OK
@@ -128,14 +130,7 @@ def _status_exit(report) -> int:
 
 def cmd_jsvd(args) -> int:
     m = _load(args)
-    jsvd, report = attempt_jordan_svd(
-        m,
-        args.tol,
-        np.random.default_rng(args.seed),
-        recon_tol=args.recon_tol,
-        cluster_gap=args.cluster_gap,
-        max_retries=args.max_retries,
-    )
+    jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
     if jsvd is None:
         _emit({"command": "jsvd", "tolerances": _tolerances(args),
                "error": report.reason, **report.as_dict()})
@@ -155,36 +150,18 @@ def cmd_jsvd(args) -> int:
 
 def cmd_pinv(args) -> int:
     m = _load(args)
-    exists, ranks = pinv_exists(m, args.tol)
-    if not exists:
+    try:
+        k = pinv(m, args.tol, **_options(args))
+    except TessarineError as ex:
+        proven = isinstance(ex, NoPseudoinverse)
         _emit({"command": "pinv", "tolerances": _tolerances(args),
-               "error": f"no pseudoinverse: rank(A,B,AB,BA) = {list(ranks)}"})
-        return EXIT_NOT_EXISTS
-    jsvd, report = attempt_jordan_svd(
-        m,
-        args.tol,
-        np.random.default_rng(args.seed),
-        recon_tol=args.recon_tol,
-        cluster_gap=args.cluster_gap,
-        max_retries=args.max_retries,
-    )
-    if jsvd is None:
-        _emit({"command": "pinv", "tolerances": _tolerances(args),
-               "error": report.reason})
-        return _status_exit(report)
-    j_pinv = _jordan_pinv(jsvd.blocks)
-    k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
-    axioms = penrose_check(m, k, args.recon_tol)
-    if not all(axioms):
-        _emit({"command": "pinv", "tolerances": _tolerances(args),
-               "error": f"VerificationFailed: axioms {list(axioms)}"})
-        return EXIT_UNKNOWN
-    residual = (m @ k @ m - m).norm_inf()
+               "error": str(ex) if proven else f"{type(ex).__name__}: {ex}"})
+        return EXIT_NOT_EXISTS if proven else EXIT_UNKNOWN
     _emit({
         "command": "pinv",
         "tolerances": _tolerances(args),
-        "penrose_axioms": list(axioms),
-        "residual": residual,
+        "penrose_axioms": list(penrose_check(m, k, args.recon_tol)),
+        "residual": (m @ k @ m - m).norm_inf(),
         "pinv": pair_to_obj(k),
     })
     return EXIT_OK
@@ -212,14 +189,7 @@ def cmd_svd(args) -> int:
 
 def cmd_polar(args) -> int:
     m = _load(args)
-    jsvd, report = attempt_jordan_svd(
-        m,
-        args.tol,
-        np.random.default_rng(args.seed),
-        recon_tol=args.recon_tol,
-        cluster_gap=args.cluster_gap,
-        max_retries=args.max_retries,
-    )
+    jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
     if jsvd is None:
         _emit({"command": "polar", "tolerances": _tolerances(args),
                "error": report.reason, **report.as_dict()})

@@ -15,6 +15,7 @@ rather than guessing.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.linalg import schur
 
 from .dcnum import DEFAULT_TOL
 from .dcmatrix import _as_square, max_abs
-from .errors import ClusterAmbiguity, DimensionMismatch, NilpotentBlock
+from .errors import ClusterAmbiguity, DimensionMismatch, NilpotentBlock, NonFiniteInput
 
 DEFAULT_CLUSTER_GAP = 1e-6
 # Distinct eigenvalue clusters must be separated by this multiple of the
@@ -86,20 +87,22 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+def _image_and_kernel(a, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Orthonormal bases of the image and the right kernel from one SVD."""
+    a = _as_square(a)
+    u, s, vh = np.linalg.svd(a)
+    r = 0 if s[0] == 0 else int(np.count_nonzero(s > tol * s[0]))
+    return SubspaceBasis(u[:, :r].copy()), SubspaceBasis(vh[r:].conj().T.copy())
+
+
 def null_space(a, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the right kernel at the given relative tolerance."""
-    a = _as_square(a)
-    _, s, vh = np.linalg.svd(a)
-    r = 0 if s[0] == 0 else int(np.count_nonzero(s > tol * s[0]))
-    return SubspaceBasis(vh[r:].conj().T.copy())
+    return _image_and_kernel(a, tol)[1]
 
 
 def column_space(a, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the image (column space)."""
-    a = _as_square(a)
-    u, s, _ = np.linalg.svd(a)
-    r = 0 if s[0] == 0 else int(np.count_nonzero(s > tol * s[0]))
-    return SubspaceBasis(u[:, :r].copy())
+    return _image_and_kernel(a, tol)[0]
 
 
 def pinv_complex(a, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -248,21 +251,16 @@ def _cluster_chains(e: np.ndarray, spread: float, scale: float) -> list[np.ndarr
     return chains
 
 
-def _single_jordan_block(lam: complex, size: int) -> np.ndarray:
-    return np.diag(np.full(size, lam, dtype=complex)) + np.diag(
-        np.ones(size - 1), 1
-    ).astype(complex)
-
-
 def jordan_matrix(blocks: Blocks) -> np.ndarray:
-    """Assemble the canonical Jordan matrix for a block list."""
-    n = sum(size for _, size in blocks)
-    j = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for lam, size in blocks:
-        j[pos : pos + size, pos : pos + size] = _single_jordan_block(lam, size)
-        pos += size
-    return j
+    """Assemble the canonical Jordan matrix for a block list.
+
+    The superdiagonal holds ones inside blocks and zeros between them.
+    """
+    diag = [lam for lam, size in blocks for _ in range(size)]
+    sup = [complex(i < size - 1) for _, size in blocks for i in range(size)]
+    return np.diag(np.array(diag, dtype=complex)) + np.diag(
+        np.array(sup[:-1], dtype=complex), 1
+    )
 
 
 def _block_sort_key(block):
@@ -286,6 +284,8 @@ def jordan_decomposition(
     a = _as_square(a)
     n = a.shape[0]
     scale = max_abs(a)
+    if not math.isfinite(scale):
+        raise NonFiniteInput("matrix has a non-finite entry")
     if scale == 0:
         blocks = tuple((0j, 1) for _ in range(n))
         return JordanForm(np.eye(n, dtype=complex), np.zeros((n, n), complex), blocks)
@@ -429,8 +429,15 @@ def sqrt_jordan_factors(
     input's, so only one eigenvalue clustering is ever performed.
     """
     a = _as_square(a)
-    scale = max_abs(a)
     jf = jordan_decomposition(a, tol=tol, cluster_gap=cluster_gap)
+    return _sqrt_from_jordan(a, jf, cluster_gap)
+
+
+def _sqrt_from_jordan(
+    a, jf: JordanForm, cluster_gap: float
+) -> tuple[np.ndarray, JordanForm]:
+    """``sqrt_jordan_factors`` of a, given its Jordan form jf."""
+    scale = max_abs(a)
     zero_tol = cluster_gap * scale
 
     root_blocks: list[tuple[complex, int]] = []
@@ -536,10 +543,17 @@ def similar(
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
     fa = jordan_decomposition(a, tol=tol, cluster_gap=cluster_gap)
     fb = jordan_decomposition(b, tol=tol, cluster_gap=cluster_gap)
+    return _same_structure(fa, fb, max(max_abs(a), max_abs(b)), cluster_gap)
+
+
+def _same_structure(
+    fa: JordanForm, fb: JordanForm, scale: float, cluster_gap: float
+) -> bool:
+    """``similar`` on Jordan forms of two matrices whose largest entry is scale."""
     ga, gb = _group_blocks(fa.blocks), _group_blocks(fb.blocks)
     if len(ga) != len(gb):
         return False
-    match_tol = cluster_gap * max(max_abs(a), max_abs(b), 1e-300)
+    match_tol = cluster_gap * max(scale, 1e-300)
     used = set()
     for lam, sizes in ga:
         hits = [i for i, (mu, _) in enumerate(gb) if abs(lam - mu) <= match_tol]

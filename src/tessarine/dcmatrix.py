@@ -106,8 +106,10 @@ class DCMatrix:
         return DoubleComplex(self.a[i, k], self.b[k, i])
 
     def norm_inf(self) -> float:
-        """Max modulus over the entries of both components."""
-        return max(max_abs(self.a), max_abs(self.b))
+        """Max modulus over the entries of both components; NaN if any is NaN."""
+        x, y = max_abs(self.a), max_abs(self.b)
+        # the builtin max drops a NaN in its second argument
+        return y if y > x or y != y else x
 
     def approx_eq(self, other: "DCMatrix", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm_inf() <= tol

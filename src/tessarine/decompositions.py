@@ -12,7 +12,8 @@ returned; a silent wrong answer is worse than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,18 +23,20 @@ from .dcmatrix import DCMatrix, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
-    column_space,
+    JordanForm,
     halfplane_canonical,
     jordan_decomposition,
     jordan_matrix,
-    null_space,
     rank,
-    sqrt_jordan_factors,
     _block_sort_key,
+    _image_and_kernel,
+    _same_structure,
+    _sqrt_from_jordan,
 )
 from .errors import (
     ClusterAmbiguity,
     DimensionMismatch,
+    NonFiniteInput,
     NoPseudoinverse,
     NotDiagonalizable,
     PreconditionFailed,
@@ -97,18 +100,62 @@ class ExistenceReport:
     reason: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "rank_a": self.rank_a,
-            "rank_b": self.rank_b,
-            "rank_ab": self.rank_ab,
-            "rank_ba": self.rank_ba,
-            "pinv_exists": self.pinv_exists,
-            "jsvd_nec1": self.jsvd_nec1,
-            "jsvd_nec2": self.jsvd_nec2,
-            "jsvd_nec3": self.jsvd_nec3,
-            "jsvd_status": self.jsvd_status.value,
-            "reason": self.reason,
-        }
+        return {**asdict(self), "jsvd_status": self.jsvd_status.value}
+
+
+# ---------------------------------------------------------------------------
+# Per-pair analysis
+# ---------------------------------------------------------------------------
+
+
+class _PairAnalysis:
+    """The facts every decision about one pair [A, B] is made from.
+
+    AB, BA and the rank quadruple are computed on construction; the
+    Jordan forms of AB and BA once each, when first asked for.  A form
+    that raised ``ClusterAmbiguity`` raises it again on every access.
+    """
+
+    def __init__(
+        self, m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
+    ):
+        self.scale = m.norm_inf()
+        if not math.isfinite(self.scale):
+            raise NonFiniteInput("matrix pair has a non-finite entry")
+        self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
+        self.products = {"ab": m.a @ m.b, "ba": m.b @ m.a}
+        self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, *self.products.values()))
+        self.pinv_exists = len(set(self.ranks)) == 1
+        self._forms: dict[str, JordanForm | ClusterAmbiguity] = {}
+
+    def form(self, product: str) -> JordanForm:
+        """Jordan form of AB (``product`` "ab") or of BA ("ba")."""
+        if product not in self._forms:
+            try:
+                self._forms[product] = jordan_decomposition(
+                    self.products[product], tol=self.tol, cluster_gap=self.cluster_gap
+                )
+            except ClusterAmbiguity as ex:
+                self._forms[product] = ex
+        if isinstance(self._forms[product], ClusterAmbiguity):
+            raise self._forms[product]
+        return self._forms[product]
+
+    def ab_similar_ba(self) -> bool:
+        """``similar(AB, BA)`` on the cached forms."""
+        fa, fb = self.form("ab"), self.form("ba")
+        scale = max(max_abs(x) for x in self.products.values())
+        return _same_structure(fa, fb, scale, self.cluster_gap)
+
+    def necessary(self) -> tuple[bool, bool, bool]:
+        """The three necessary conditions of ``jsvd_necessary``."""
+        roots = []
+        for product, x in self.products.items():
+            zero_tol = self.cluster_gap * max_abs(x)
+            blocks = self.form(product).blocks
+            nil_sizes = [size for lam, size in blocks if abs(lam) <= zero_tol]
+            roots.append(_sizes_admit_sqrt(nil_sizes))
+        return (self.ranks[0] == self.ranks[1], *roots)
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +164,13 @@ class ExistenceReport:
 
 
 def rank_quadruple(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[int, int, int, int]:
-    return (
-        rank(m.a, tol),
-        rank(m.b, tol),
-        rank(m.a @ m.b, tol),
-        rank(m.b @ m.a, tol),
-    )
+    return _PairAnalysis(m, tol).ranks
 
 
 def pinv_exists(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int, int, int]]:
     """Rank criterion: a pseudoinverse exists iff all four ranks agree."""
-    ranks = rank_quadruple(m, tol)
-    return len(set(ranks)) == 1, ranks
+    pa = _PairAnalysis(m, tol)
+    return pa.pinv_exists, pa.ranks
 
 
 def _sizes_admit_sqrt(sizes: list[int]) -> bool:
@@ -148,16 +190,6 @@ def _sizes_admit_sqrt(sizes: list[int]) -> bool:
     return True
 
 
-def _sqrt_exists(x: np.ndarray, tol: float, cluster_gap: float) -> bool:
-    scale = max_abs(x)
-    if scale == 0:
-        return True
-    jf = jordan_decomposition(x, tol=tol, cluster_gap=cluster_gap)
-    zero_tol = cluster_gap * scale
-    nil_sizes = [size for lam, size in jf.blocks if abs(lam) <= zero_tol]
-    return _sizes_admit_sqrt(nil_sizes)
-
-
 def jsvd_necessary(
     m: DCMatrix,
     tol: float = DEFAULT_TOL,
@@ -168,10 +200,7 @@ def jsvd_necessary(
     1. rank(A) = rank(B); 2. AB has a square root; 3. BA has a square
     root.  Root existence is decided on the Jordan structure.
     """
-    nec1 = rank(m.a, tol) == rank(m.b, tol)
-    nec2 = _sqrt_exists(m.a @ m.b, tol, cluster_gap)
-    nec3 = _sqrt_exists(m.b @ m.a, tol, cluster_gap)
-    return nec1, nec2, nec3
+    return _PairAnalysis(m, tol, cluster_gap).necessary()
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +249,8 @@ def naive_dc_svd(
     """
     n = m.n
     scale = m.norm_inf()
+    if not math.isfinite(scale):
+        raise NonFiniteInput("matrix pair has a non-finite entry")
     if rank(m.a, tol) < n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
     ab = m.a @ m.b
@@ -247,21 +278,18 @@ def naive_dc_svd(
 # ---------------------------------------------------------------------------
 
 
-def _jordan_pinv(blocks: Blocks) -> np.ndarray:
-    """Blockwise pseudoinverse of a canonical Jordan matrix.
+def _jordan_pinv(j: np.ndarray, blocks: Blocks) -> np.ndarray:
+    """Blockwise pseudoinverse of the canonical Jordan matrix j of blocks.
 
     Valid when every block is invertible or the 1x1 zero: invertible
     blocks invert, zero blocks stay zero.
     """
-    n = sum(size for _, size in blocks)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros_like(j)
     pos = 0
     for lam, size in blocks:
         if lam != 0:
-            block = np.diag(np.full(size, lam, dtype=complex)) + np.diag(
-                np.ones(size - 1), 1
-            )
-            out[pos : pos + size, pos : pos + size] = np.linalg.inv(block)
+            span = slice(pos, pos + size)
+            out[span, span] = np.linalg.inv(j[span, span])
         pos += size
     return out
 
@@ -294,20 +322,26 @@ def jordan_svd(
     at the zero blocks of J) by a randomized orthonormal extension; and
     verify m = U S V*.
     """
-    exists, ranks = pinv_exists(m, tol)
-    if not exists:
+    pa = _PairAnalysis(m, tol, cluster_gap)
+    if not pa.pinv_exists:
         raise PreconditionFailed(
-            f"rank condition fails: rank(A,B,AB,BA) = {ranks}", report=ranks
+            f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}", report=pa.ranks
         )
+    return _jordan_svd(pa, rng, recon_tol, max_retries)
+
+
+def _jordan_svd(
+    pa: _PairAnalysis, rng, recon_tol: float, max_retries: int
+) -> JordanSVD:
+    """``jordan_svd`` of a pair known to meet the rank condition."""
+    m = pa.m
     if rng is None:
         rng = np.random.default_rng(0)
-    scale = m.norm_inf()
-
-    _, root_jf = sqrt_jordan_factors(m.b @ m.a, tol=tol, cluster_gap=cluster_gap)
+    _, root_jf = _sqrt_from_jordan(pa.products["ba"], pa.form("ba"), pa.cluster_gap)
     p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
     v = DCMatrix(p, np.linalg.inv(p))
     s = DCMatrix(j, j)
-    j_pinv = _jordan_pinv(blocks)
+    j_pinv = _jordan_pinv(j, blocks)
     s_pinv = DCMatrix(j_pinv, j_pinv)
 
     u_prime = m @ v @ s_pinv
@@ -335,7 +369,7 @@ def jordan_svd(
     u = assemble_columns(final)
 
     residual = (u @ s @ v.star() - m).norm_inf()
-    if residual > recon_tol * max(scale, 1e-300):
+    if residual > recon_tol * max(pa.scale, 1e-300):
         raise VerificationFailed(
             f"Jordan SVD residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
         )
@@ -481,24 +515,17 @@ def pinv(
     max_retries: int = 16,
 ) -> DCMatrix:
     """Moore-Penrose pseudoinverse via the Jordan SVD: V [J+, J+] U*."""
-    exists, ranks = pinv_exists(m, tol)
-    if not exists:
+    pa = _PairAnalysis(m, tol, cluster_gap)
+    if not pa.pinv_exists:
         raise NoPseudoinverse(
-            f"rank condition fails: rank(A,B,AB,BA) = {ranks}"
+            f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd = jordan_svd(
-        m,
-        tol,
-        rng,
-        recon_tol=recon_tol,
-        cluster_gap=cluster_gap,
-        max_retries=max_retries,
-    )
-    j_pinv = _jordan_pinv(jsvd.blocks)
+    jsvd = _jordan_svd(pa, rng, recon_tol, max_retries)
+    j_pinv = _jordan_pinv(jsvd.s.a, jsvd.blocks)
     k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
     axioms = penrose_check(m, k, recon_tol)
     if not all(axioms):
-        raise VerificationFailed(f"Penrose axiom check failed: {axioms}")
+        raise VerificationFailed(f"axioms {list(axioms)}")
     return k
 
 
@@ -511,15 +538,13 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
     existence conditions Im(AB) = Im(A), Im(BA) = Im(B) and
     rank(A) = rank(B); fails with ``NoPseudoinverse`` otherwise.
     """
-    ra, rb, rab, rba = rank_quadruple(m, tol)
-    if not (ra == rb == rab == rba):
+    pa = _PairAnalysis(m, tol)
+    if not pa.pinv_exists:
         raise NoPseudoinverse(
-            f"existence conditions fail: rank(A,B,AB,BA) = {(ra, rb, rab, rba)}"
+            f"existence conditions fail: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    im_b = column_space(m.b, tol).vectors
-    im_a = column_space(m.a, tol).vectors
-    ker_a = null_space(m.a, tol).vectors
-    ker_b = null_space(m.b, tol).vectors
+    im_a, ker_a = (basis.vectors for basis in _image_and_kernel(m.a, tol))
+    im_b, ker_b = (basis.vectors for basis in _image_and_kernel(m.b, tol))
 
     c = _reverse_diagram(m.a, im_b, ker_b, tol=tol, name="Im(A) + ker(B)")
     d = _reverse_diagram(m.b, im_a, ker_a, tol=tol, name="Im(B) + ker(A)")
@@ -582,13 +607,19 @@ def attempt_jordan_svd(
     Hermitian route); ``unknown`` otherwise - the exact existence
     boundary is open.
     """
-    ranks = rank_quadruple(m, tol)
-    rank_ok = len(set(ranks)) == 1
+    pa = _PairAnalysis(m, tol, cluster_gap)
+    return _attempt_jordan_svd(pa, rng, recon_tol, max_retries)
+
+
+def _attempt_jordan_svd(
+    pa: _PairAnalysis, rng, recon_tol: float = DEFAULT_RECON_TOL, max_retries: int = 16
+) -> tuple[JordanSVD | None, ExistenceReport]:
+    m, ranks, rank_ok = pa.m, pa.ranks, pa.pinv_exists
     reason = None
     try:
-        nec1, nec2, nec3 = jsvd_necessary(m, tol, cluster_gap)
+        nec1, nec2, nec3 = pa.necessary()
     except ClusterAmbiguity as ex:
-        nec1 = rank(m.a, tol) == rank(m.b, tol)
+        nec1 = ranks[0] == ranks[1]
         nec2 = nec3 = None
         reason = f"ClusterAmbiguity: {ex}"
 
@@ -600,21 +631,14 @@ def attempt_jordan_svd(
         status = JsvdStatus.NOT_EXISTS
         reason = f"necessary condition {failed[0]} fails"
     else:
-        hermitian = m.is_hermitian(tol * max(1.0, m.norm_inf()))
+        hermitian = m.is_hermitian(pa.tol * max(1.0, pa.scale))
         if rank_ok or hermitian:
             try:
                 if rank_ok:
-                    jsvd = jordan_svd(
-                        m,
-                        tol,
-                        rng,
-                        recon_tol=recon_tol,
-                        cluster_gap=cluster_gap,
-                        max_retries=max_retries,
-                    )
+                    jsvd = _jordan_svd(pa, rng, recon_tol, max_retries)
                 else:
                     jsvd = hermitian_jsvd(
-                        m, tol, recon_tol=recon_tol, cluster_gap=cluster_gap
+                        m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap
                     )
                 status = JsvdStatus.EXISTS
             except TessarineError as ex:

@@ -17,6 +17,10 @@ class ZeroNorm(ZeroDivisor):
     """Normalization of a vector whose squared norm is not invertible."""
 
 
+class NonFiniteInput(TessarineError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class ClusterAmbiguity(TessarineError):
     """Eigenvalue gaps fall in the band where clustering is unreliable.
 

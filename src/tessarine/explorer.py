@@ -13,19 +13,20 @@ canonical block multisets after half-plane normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dcmatrix import DCMatrix
-from .complex_linalg import DEFAULT_CLUSTER_GAP, similar
+from .complex_linalg import DEFAULT_CLUSTER_GAP
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
     JsvdStatus,
-    attempt_jordan_svd,
     jordan_svd,
     jsvd_to_polar,
     polar_to_jsvd,
+    _attempt_jordan_svd,
+    _PairAnalysis,
 )
 from .errors import BadProfile, TessarineError
 
@@ -49,18 +50,7 @@ class TrialRecord:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "construction_profile": self.construction_profile,
-            "similar_ab_ba": self.similar_ab_ba,
-            "jsvd_status": self.jsvd_status,
-            "pinv_exists": self.pinv_exists,
-            "j_blocks": self.j_blocks,
-            "residual": self.residual,
-            "consistent": self.consistent,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -192,19 +182,17 @@ def run_trial(
 ) -> TrialRecord:
     """Run one reproducible trial: generate, test similarity, try the JSVD."""
     rng = np.random.default_rng(seed)
-    m = generate_pair(profile, n, rng)
+    pa = _PairAnalysis(generate_pair(profile, n, rng), tol, cluster_gap)
     error = None
 
     sim: bool | None
     try:
-        sim = similar(m.a @ m.b, m.b @ m.a, tol=tol, cluster_gap=cluster_gap)
+        sim = pa.ab_similar_ba()
     except TessarineError as ex:
         sim = None
         error = f"similar: {type(ex).__name__}"
 
-    jsvd, report = attempt_jordan_svd(
-        m, tol, np.random.default_rng(seed), cluster_gap=cluster_gap
-    )
+    jsvd, report = _attempt_jordan_svd(pa, np.random.default_rng(seed))
     status = report.jsvd_status
     blocks = _blocks_as_json(jsvd.blocks) if jsvd is not None else None
     residual = jsvd.residual if jsvd is not None else None
@@ -281,12 +269,7 @@ class UniquenessVerdict:
     witnesses: list
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reference_blocks": self.reference_blocks,
-            "repetitions": self.repetitions,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 def _blocks_match(b1, b2, tol_abs: float) -> bool:

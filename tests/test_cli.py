@@ -7,6 +7,7 @@ import pytest
 
 from tessarine.cli import main
 from tessarine.dcmatrix import DCMatrix
+from tessarine.decompositions import pinv
 from tessarine.pairfile import (
     PairFormatError,
     load_pair,
@@ -133,11 +134,15 @@ class TestPinvCommand:
         # re-verify from the emitted factors: m @ k @ m == m
         k = obj_to_pair(doc["pinv"])
         assert (m @ k @ m - m).norm_inf() <= 1e-8 * m.norm_inf()
+        # the command returns the library's result
+        assert doc["pinv"] == pair_to_obj(pinv(m, rng=np.random.default_rng(0)))
 
     def test_no_pinv_exit_3(self, tmp_path, capsys):
         path = tmp_path / "e.json"
         write_pair(path, [[1.0]], [[0.0]])
-        assert main(["pinv", str(path)]) == 3
+        code, doc = run_cli(capsys, "pinv", str(path))
+        assert code == 3
+        assert doc["error"] == "no pseudoinverse: rank(A,B,AB,BA) = [1, 0, 0, 0]"
 
 
 class TestJsvdCommand:

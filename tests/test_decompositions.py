@@ -1,10 +1,13 @@
 """The core factorizations: naive SVD, Jordan SVD, pseudoinverses, polar."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from tessarine import complex_linalg, explorer
 from tessarine.dcmatrix import DCMatrix, direct_sum, embed_complex, max_abs
-from tessarine.complex_linalg import jordan_matrix
+from tessarine.complex_linalg import jordan_decomposition, jordan_matrix, similar
 from tessarine.decompositions import (
     JsvdStatus,
     PolarDecomposition,
@@ -23,6 +26,7 @@ from tessarine.decompositions import (
     polar_to_jsvd,
 )
 from tessarine.errors import (
+    NonFiniteInput,
     NoPseudoinverse,
     NotDiagonalizable,
     PreconditionFailed,
@@ -429,3 +433,54 @@ class TestBlockPinv:
         bad = direct_sum(DCMatrix(j_inv, j_inv), DCMatrix(j_nil, j_nil))
         ok, _ = pinv_exists(bad)
         assert not ok
+
+
+class TestNonFiniteInput:
+    ENTRY_POINTS = {
+        "attempt_jordan_svd": attempt_jordan_svd,
+        "jordan_svd": jordan_svd,
+        "pinv": pinv,
+        "pinv_via_diagrams": pinv_via_diagrams,
+        "polar": polar,
+        "naive_dc_svd": naive_dc_svd,
+        "jordan_decomposition": lambda m: jordan_decomposition(m.b),
+        "similar": lambda m: similar(m.a, m.b),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_raises_inside_the_hierarchy(self, entry, bad):
+        b = np.eye(3, dtype=complex)
+        b[2, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            self.ENTRY_POINTS[entry](DCMatrix(np.eye(3), b))
+
+
+class TestPairAnalysedOnce:
+    """Each pair's Jordan forms and ranks are computed once per call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"jordan_decomposition": 0, "rank": 0}
+        for name in counts:
+            original = getattr(complex_linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("tessarine") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    def test_dense_trial(self, counts):
+        record = explorer.run_trial(7, "dense", 4)
+        assert record.jsvd_status == "exists"
+        assert counts == {"jordan_decomposition": 2, "rank": 4}
+
+    def test_pinv(self, counts):
+        m = rank_condition_pair(4, np.random.default_rng(3), r=2)
+        counts.update(jordan_decomposition=0, rank=0)
+        pinv(m)
+        assert counts == {"jordan_decomposition": 1, "rank": 4}
