@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .dcnum import DEFAULT_TOL
 from .dcmatrix import _as_square, max_abs
@@ -318,6 +317,10 @@ def jordan_decomposition(
             if len(idx) == n:
                 q1 = np.eye(n, dtype=complex)
             else:
+                # the only use of scipy: loaded here so that imports and
+                # inputs without a clustered eigenvalue never pay for it
+                from scipy.linalg import schur
+
                 target = np.array(means)
                 want = c
                 _, z_, sdim = schur(

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .dcnum import DEFAULT_TOL, halfplane_sqrt
-from .dcmatrix import DCMatrix, max_abs
+from .dcmatrix import DCMatrix, direct_sum, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
@@ -112,8 +112,10 @@ class _PairAnalysis:
     """The facts every decision about one pair [A, B] is made from.
 
     AB, BA and the rank quadruple are computed on construction; the
-    Jordan forms of AB and BA once each, when first asked for.  A form
-    that raised ``ClusterAmbiguity`` raises it again on every access.
+    Jordan forms of AB and BA once each, when first asked for.  When BA
+    equals AB bit for bit (every n = 1 pair, every commuting pair) both
+    share AB's form.  A form that raised ``ClusterAmbiguity`` raises it
+    again on every access.  Cached forms are shared, never modified.
     """
 
     def __init__(
@@ -123,23 +125,26 @@ class _PairAnalysis:
         if not math.isfinite(self.scale):
             raise NonFiniteInput("matrix pair has a non-finite entry")
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
-        self.products = {"ab": m.a @ m.b, "ba": m.b @ m.a}
-        self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, *self.products.values()))
+        ab, ba = m.a @ m.b, m.b @ m.a
+        self.products = {"ab": ab, "ba": ba}
+        self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, ab, ba))
         self.pinv_exists = len(set(self.ranks)) == 1
+        self._source = {"ab": "ab", "ba": "ab" if np.array_equal(ab, ba) else "ba"}
         self._forms: dict[str, JordanForm | ClusterAmbiguity] = {}
 
     def form(self, product: str) -> JordanForm:
         """Jordan form of AB (``product`` "ab") or of BA ("ba")."""
-        if product not in self._forms:
+        key = self._source[product]
+        if key not in self._forms:
             try:
-                self._forms[product] = jordan_decomposition(
-                    self.products[product], tol=self.tol, cluster_gap=self.cluster_gap
+                self._forms[key] = jordan_decomposition(
+                    self.products[key], tol=self.tol, cluster_gap=self.cluster_gap
                 )
             except ClusterAmbiguity as ex:
-                self._forms[product] = ex
-        if isinstance(self._forms[product], ClusterAmbiguity):
-            raise self._forms[product]
-        return self._forms[product]
+                self._forms[key] = ex
+        if isinstance(self._forms[key], ClusterAmbiguity):
+            raise self._forms[key]
+        return self._forms[key]
 
     def ab_similar_ba(self) -> bool:
         """``similar(AB, BA)`` on the cached forms."""
@@ -580,8 +585,6 @@ def block_pinv(
     rng: np.random.Generator | None = None,
 ) -> DCMatrix:
     """(L (+) M)+ = L+ (+) M+ implemented as the right-hand side."""
-    from .dcmatrix import direct_sum
-
     return direct_sum(pinv(l, tol, rng), pinv(m, tol, rng))
 
 
@@ -646,7 +649,7 @@ def _attempt_jordan_svd(
                 reason = f"{type(ex).__name__}: {ex}"
         else:
             status = JsvdStatus.UNKNOWN
-            reason = "rank condition fails; existence undetermined"
+            reason = reason or "rank condition fails; existence undetermined"
 
     report = ExistenceReport(
         rank_a=ranks[0],

@@ -18,12 +18,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dcmatrix import DCMatrix
-from .complex_linalg import DEFAULT_CLUSTER_GAP
+from .complex_linalg import DEFAULT_CLUSTER_GAP, jordan_matrix
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
     JsvdStatus,
     jordan_svd,
     jsvd_to_polar,
+    pinv_exists,
     polar_to_jsvd,
     _attempt_jordan_svd,
     _PairAnalysis,
@@ -118,8 +119,6 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
             ):
                 return DCMatrix(a, b)
     if profile == "jordan":
-        from .complex_linalg import jordan_matrix
-
         sizes = []
         total = 0
         while total < n:
@@ -162,8 +161,6 @@ def rank_condition_pair(
     while True:
         rr = int(rng.integers(1, n + 1)) if r is None else r
         m = DCMatrix(_rank_factored(rng, n, rr), _rank_factored(rng, n, rr))
-        from .decompositions import pinv_exists
-
         ok, ranks = pinv_exists(m)
         if ok and ranks[0] == rr:
             return m

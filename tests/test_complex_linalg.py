@@ -1,5 +1,11 @@
 """Complex kernels: rank, subspaces, Jordan form, roots, similarity."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,3 +214,53 @@ class TestSimilar:
         assert not similar(
             np.diag([1.0, 2.0]).astype(complex), np.diag([1.0, 3.0]).astype(complex)
         )
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports tessarine from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestLazyScipy:
+    """scipy is loaded only by the clustered Jordan path."""
+
+    def test_import_leaves_scipy_unloaded(self):
+        out = run_fresh(
+            """
+            import sys
+            import tessarine, tessarine.cli
+            assert "scipy" not in sys.modules, "scipy imported eagerly"
+            """
+        )
+        assert out.returncode == 0, out.stderr
+
+    def test_clustered_branch_loads_schur(self):
+        # a 2x2 Jordan block next to a distinct eigenvalue: the cluster of
+        # size 2 < n needs the Schur reordering
+        out = run_fresh(
+            """
+            import sys
+            import numpy as np
+            from tessarine.complex_linalg import jordan_decomposition, jordan_matrix
+
+            j = jordan_matrix(((2 + 0j, 2), (5 + 0j, 1)))
+            p = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 1]], dtype=complex)
+            a = p @ j @ np.linalg.inv(p)
+            assert "scipy" not in sys.modules
+            jf = jordan_decomposition(a)
+            got = [(round(l.real, 6), round(l.imag, 6), s) for l, s in jf.blocks]
+            assert got == [(2.0, 0.0, 2), (5.0, 0.0, 1)], got
+            recon = jf.p @ jf.j @ np.linalg.inv(jf.p)
+            assert np.abs(recon - a).max() <= 1e-6 * np.abs(a).max()
+            assert "scipy.linalg" in sys.modules
+            """
+        )
+        assert out.returncode == 0, out.stderr

@@ -281,6 +281,18 @@ class TestAttempt:
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
         assert report.reason == "necessary condition 3 fails"
 
+    def test_cluster_ambiguity_reason_kept(self):
+        # two eigenvalues of AB and BA 1.6e-5 apart, inside the ambiguity
+        # band, on a pair that also fails the rank condition
+        rng = np.random.default_rng(2562788860415502239)
+        m = explorer.generate_pair("counterexample", 4, rng)
+        jsvd, report = attempt_jordan_svd(m)
+        assert jsvd is None
+        assert not report.pinv_exists
+        assert report.jsvd_status is JsvdStatus.UNKNOWN
+        assert report.jsvd_nec2 is None and report.jsvd_nec3 is None
+        assert report.reason.startswith("ClusterAmbiguity: eigenvalue clusters")
+
     def test_invertible_exists(self):
         rng = np.random.default_rng(14)
         jsvd, report = attempt_jordan_svd(rand_pair(rng, 3), rng=rng)
@@ -483,4 +495,16 @@ class TestPairAnalysedOnce:
         m = rank_condition_pair(4, np.random.default_rng(3), r=2)
         counts.update(jordan_decomposition=0, rank=0)
         pinv(m)
+        assert counts == {"jordan_decomposition": 1, "rank": 4}
+
+    def test_scalar_pair_decomposed_once(self, counts):
+        # scalars commute, so BA is AB bit for bit and shares its form
+        record = explorer.run_trial(7, "dense", 1)
+        assert record.jsvd_status == "exists"
+        assert counts == {"jordan_decomposition": 1, "rank": 4}
+
+    def test_commuting_pair_decomposed_once(self, counts):
+        a = crand(np.random.default_rng(8), 4)
+        jsvd, report = attempt_jordan_svd(DCMatrix(a, a))
+        assert report.jsvd_status is JsvdStatus.EXISTS
         assert counts == {"jordan_decomposition": 1, "rank": 4}
