@@ -33,7 +33,6 @@ from .decompositions import (
     JsvdStatus,
     PolarDecomposition,
     attempt_jordan_svd,
-    block_pinv,
     hermitian_jsvd,
     jordan_svd,
     jsvd_necessary,
@@ -80,7 +79,6 @@ __all__ = [
     "JsvdStatus",
     "PolarDecomposition",
     "attempt_jordan_svd",
-    "block_pinv",
     "hermitian_jsvd",
     "jordan_svd",
     "jsvd_necessary",

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .dcmatrix import DCMatrix
 from .complex_linalg import DEFAULT_CLUSTER_GAP
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
@@ -28,7 +27,7 @@ from .decompositions import (
     pinv,
 )
 from .errors import NoPseudoinverse, TessarineError
-from .explorer import PROFILES, conjecture_scan
+from .explorer import PROFILES, conjecture_scan, _blocks_as_json
 from .pairfile import PairFormatError, load_pair, pair_to_obj
 
 EXIT_OK = 0
@@ -45,7 +44,7 @@ def _default_seed() -> int:
         return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_seed: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("input", help="matrix-pair JSON file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="equality/rank tolerance (default 1e-9)")
@@ -53,11 +52,10 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = True):
                    help="reconstruction acceptance tolerance (default 1e-7)")
     p.add_argument("--cluster-gap", type=float, default=DEFAULT_CLUSTER_GAP,
                    help="relative eigenvalue clustering gap (default 1e-6)")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help="rng seed (default: $TESSARINE_SEED or 0)")
-        p.add_argument("--max-retries", type=int, default=16,
-                       help="retry bound for the randomized extension")
+    p.add_argument("--seed", type=int, default=_default_seed(),
+                   help="rng seed (default: $TESSARINE_SEED or 0)")
+    p.add_argument("--max-retries", type=int, default=16,
+                   help="retry bound for the randomized extension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("check", help="existence report for a pair"),
-                with_seed=True)
+    _add_common(sub.add_parser("check", help="existence report for a pair"))
     _add_common(sub.add_parser("pinv", help="Moore-Penrose pseudoinverse"))
     _add_common(sub.add_parser("jsvd", help="Jordan SVD factors"))
     _add_common(sub.add_parser("svd", help="naive diagonal SVD factors"))
@@ -95,13 +92,9 @@ def _emit(doc: dict) -> None:
 def _tolerances(args) -> dict:
     return {
         "tol": args.tol,
-        "recon_tol": getattr(args, "recon_tol", None),
+        "recon_tol": args.recon_tol,
         "cluster_gap": args.cluster_gap,
     }
-
-
-def _load(args) -> DCMatrix:
-    return load_pair(args.input)
 
 
 def _options(args) -> dict:
@@ -115,7 +108,7 @@ def _options(args) -> dict:
 
 
 def cmd_check(args) -> int:
-    m = _load(args)
+    m = load_pair(args.input)
     _, report = attempt_jordan_svd(m, args.tol, **_options(args))
     _emit({"command": "check", "tolerances": _tolerances(args),
            **report.as_dict()})
@@ -129,7 +122,7 @@ def _status_exit(report) -> int:
 
 
 def cmd_jsvd(args) -> int:
-    m = _load(args)
+    m = load_pair(args.input)
     jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
     if jsvd is None:
         _emit({"command": "jsvd", "tolerances": _tolerances(args),
@@ -139,7 +132,7 @@ def cmd_jsvd(args) -> int:
         "command": "jsvd",
         "tolerances": _tolerances(args),
         "residual": jsvd.residual,
-        "j_blocks": [[b.real, b.imag, s] for b, s in jsvd.blocks],
+        "j_blocks": _blocks_as_json(jsvd.blocks),
         "U": pair_to_obj(jsvd.u),
         "S": pair_to_obj(jsvd.s),
         "V": pair_to_obj(jsvd.v),
@@ -149,7 +142,7 @@ def cmd_jsvd(args) -> int:
 
 
 def cmd_pinv(args) -> int:
-    m = _load(args)
+    m = load_pair(args.input)
     try:
         k = pinv(m, args.tol, **_options(args))
     except TessarineError as ex:
@@ -168,7 +161,7 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_svd(args) -> int:
-    m = _load(args)
+    m = load_pair(args.input)
     try:
         u, s, v = naive_dc_svd(m, args.tol, recon_tol=args.recon_tol)
     except TessarineError as ex:
@@ -188,7 +181,7 @@ def cmd_svd(args) -> int:
 
 
 def cmd_polar(args) -> int:
-    m = _load(args)
+    m = load_pair(args.input)
     jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
     if jsvd is None:
         _emit({"command": "polar", "tolerances": _tolerances(args),

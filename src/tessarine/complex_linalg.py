@@ -14,13 +14,12 @@ rather than guessing.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dcnum import DEFAULT_TOL
+from .dcnum import DEFAULT_TOL, halfplane_sqrt
 from .dcmatrix import _as_square, max_abs
 from .errors import ClusterAmbiguity, DimensionMismatch, NilpotentBlock, NonFiniteInput
 
@@ -267,6 +266,27 @@ def _block_sort_key(block):
     return (lam.real, lam.imag, -size)
 
 
+def _canonical_order(blocks, *column_lists) -> tuple:
+    """Blocks in canonical order, with per-block columns stacked to match.
+
+    Returns (blocks, stacked, ...) with one stacked matrix per list in
+    ``column_lists``; ties keep their input order.
+    """
+    order = sorted(range(len(blocks)), key=lambda i: _block_sort_key(blocks[i]))
+    return (
+        tuple(blocks[i] for i in order),
+        *(np.hstack([cols[i] for i in order]) for cols in column_lists),
+    )
+
+
+def _block_spans(blocks: Blocks):
+    """Yield (eigenvalue, slice) of each block's rows and columns in order."""
+    pos = 0
+    for lam, size in blocks:
+        yield lam, slice(pos, pos + size)
+        pos += size
+
+
 def jordan_decomposition(
     a,
     tol: float = DEFAULT_TOL,
@@ -341,9 +361,7 @@ def jordan_decomposition(
                 columns.append(q1 @ chain)
                 blocks.append((lam, chain.shape[1]))
         # canonical order inside each eigenvalue: size descending
-        paired = sorted(zip(blocks, columns), key=lambda t: _block_sort_key(t[0]))
-        blocks = [b for b, _ in paired]
-        p = np.hstack([c for _, c in paired])
+        blocks, p = _canonical_order(blocks, columns)
 
     j = jordan_matrix(tuple(blocks))
     residual = max_abs(p @ j @ np.linalg.inv(p) - a)
@@ -360,31 +378,6 @@ def jordan_decomposition(
 # ---------------------------------------------------------------------------
 # Matrix square roots through the Jordan form
 # ---------------------------------------------------------------------------
-
-
-def halfplane_canonical(x: complex, axis_tol: float = 0.0) -> bool:
-    """Half-plane membership with |Re| <= axis_tol treated as boundary.
-
-    On the boundary the sign of the imaginary part decides, which makes
-    the choice deterministic for eigenvalues that sit on the branch cut
-    up to numerical noise.
-    """
-    re = 0.0 if abs(x.real) <= axis_tol else x.real
-    return re > 0 or (re == 0 and x.imag >= 0)
-
-
-def _branch_sqrt(lam: complex, axis_tol: float) -> complex:
-    """Half-plane square root, robust near the negative real axis.
-
-    When lam lies within axis_tol of the cut, the root's real part is
-    below axis_tol / (2|root|) and the sign is chosen by the imaginary
-    part; the returned value still squares to lam exactly.
-    """
-    r = cmath.sqrt(lam)
-    mag = abs(r)
-    if mag == 0:
-        return r
-    return r if halfplane_canonical(r, axis_tol / (2 * mag)) else -r
 
 
 def _sqrt_block_triangular(lam: complex, mu: complex, size: int) -> np.ndarray:
@@ -457,21 +450,19 @@ def _sqrt_from_jordan(
             s_blocks.append(np.zeros((1, 1), complex))
             t_blocks.append(np.ones((1, 1), complex))
         else:
-            mu = _branch_sqrt(lam, zero_tol)
+            mu = halfplane_sqrt(lam, zero_tol)
             s_block = _sqrt_block_triangular(lam, mu, size)
             root_blocks.append((mu, size))
             s_blocks.append(s_block)
             t_blocks.append(_chain_basis_for_block(s_block, mu))
 
-    s_tri = _block_diag(s_blocks)
+    s_tri = _block_diag(jf.blocks, s_blocks)
     root = jf.p @ s_tri @ np.linalg.inv(jf.p)
 
     # canonical re-sort of the root's blocks (sqrt reshuffles the order)
-    p_root = jf.p @ _block_diag(t_blocks)
-    cols = _split_block_columns(p_root, [size for _, size in root_blocks])
-    paired = sorted(zip(root_blocks, cols), key=lambda t: _block_sort_key(t[0]))
-    blocks = tuple(b for b, _ in paired)
-    p_sorted = np.hstack([c for _, c in paired])
+    p_root = jf.p @ _block_diag(jf.blocks, t_blocks)
+    cols = [p_root[:, span] for _, span in _block_spans(jf.blocks)]
+    blocks, p_sorted = _canonical_order(root_blocks, cols)
     root_jf = JordanForm(p_sorted, jordan_matrix(blocks), blocks)
 
     residual = max_abs(root @ root - a)
@@ -493,24 +484,13 @@ def sqrt_via_jordan(
     return root
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
+def _block_diag(blocks: Blocks, parts: list[np.ndarray]) -> np.ndarray:
+    """Block-diagonal matrix holding parts on the diagonal spans of blocks."""
+    n = sum(size for _, size in blocks)
     out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[pos : pos + k, pos : pos + k] = b
-        pos += k
+    for (_, span), part in zip(_block_spans(blocks), parts):
+        out[span, span] = part
     return out
-
-
-def _split_block_columns(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    cols = []
-    pos = 0
-    for k in sizes:
-        cols.append(p[:, pos : pos + k])
-        pos += k
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +526,21 @@ def similar(
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
     fa = jordan_decomposition(a, tol=tol, cluster_gap=cluster_gap)
     fb = jordan_decomposition(b, tol=tol, cluster_gap=cluster_gap)
-    return _same_structure(fa, fb, max(max_abs(a), max_abs(b)), cluster_gap)
+    match_tol = cluster_gap * max(max_abs(a), max_abs(b), 1e-300)
+    return _same_structure(fa.blocks, fb.blocks, match_tol)
 
 
-def _same_structure(
-    fa: JordanForm, fb: JordanForm, scale: float, cluster_gap: float
-) -> bool:
-    """``similar`` on Jordan forms of two matrices whose largest entry is scale."""
-    ga, gb = _group_blocks(fa.blocks), _group_blocks(fb.blocks)
+def _same_structure(blocks_a: Blocks, blocks_b: Blocks, match_tol: float) -> bool:
+    """Do two canonical block lists describe the same Jordan structure?
+
+    Blocks are grouped by eigenvalue; each group must meet exactly one
+    group of the other list within ``match_tol``, with the same sizes.
+    An eigenvalue within ``match_tol`` of two groups raises
+    ``ClusterAmbiguity``.
+    """
+    ga, gb = _group_blocks(blocks_a), _group_blocks(blocks_b)
     if len(ga) != len(gb):
         return False
-    match_tol = cluster_gap * max(scale, 1e-300)
     used = set()
     for lam, sizes in ga:
         hits = [i for i, (mu, _) in enumerate(gb) if abs(lam - mu) <= match_tol]

@@ -83,17 +83,28 @@ E = DoubleComplex(1, 0)  # idempotent (1+j)/2
 E_STAR = DoubleComplex(0, 1)  # idempotent (1-j)/2
 
 
-def in_halfplane(x: complex) -> bool:
-    """True if x has positive real part, or zero real part and imag >= 0."""
-    if x.real > 0:
-        return True
-    return x.real == 0 and x.imag >= 0
+def in_halfplane(x: complex, axis_tol: float = 0.0) -> bool:
+    """True if x has positive real part, or zero real part and imag >= 0.
+
+    A real part within axis_tol of zero counts as zero, so on the
+    imaginary axis up to that noise the sign of the imaginary part decides.
+    """
+    re = 0.0 if abs(x.real) <= axis_tol else x.real
+    return re > 0 or (re == 0 and x.imag >= 0)
 
 
-def halfplane_sqrt(x: complex) -> complex:
-    """Complex square root landed in the half-plane; 0 maps to 0."""
+def halfplane_sqrt(x: complex, axis_tol: float = 0.0) -> complex:
+    """Complex square root landed in the half-plane; 0 maps to 0.
+
+    For x within axis_tol of the branch cut (the negative real axis) the
+    root's real part is below axis_tol / (2|root|), and the sign of its
+    imaginary part decides; the result still squares to x.
+    """
     r = cmath.sqrt(x)
-    return r if in_halfplane(r) else -r
+    mag = abs(r)
+    if mag == 0:
+        return r
+    return r if in_halfplane(r, axis_tol / (2 * mag)) else -r
 
 
 def sqrt_halfplane(a: DoubleComplex) -> DoubleComplex:

@@ -18,17 +18,17 @@ from enum import Enum
 
 import numpy as np
 
-from .dcnum import DEFAULT_TOL, halfplane_sqrt
-from .dcmatrix import DCMatrix, direct_sum, max_abs
+from .dcnum import DEFAULT_TOL, halfplane_sqrt, in_halfplane
+from .dcmatrix import DCMatrix, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
     JordanForm,
-    halfplane_canonical,
     jordan_decomposition,
     jordan_matrix,
     rank,
-    _block_sort_key,
+    _block_spans,
+    _canonical_order,
     _image_and_kernel,
     _same_structure,
     _sqrt_from_jordan,
@@ -116,6 +116,10 @@ class _PairAnalysis:
     equals AB bit for bit (every n = 1 pair, every commuting pair) both
     share AB's form.  A form that raised ``ClusterAmbiguity`` raises it
     again on every access.  Cached forms are shared, never modified.
+
+    Construction raises ``NonFiniteInput`` when the pair, AB or BA has a
+    NaN or infinite entry: products of finite matrices can overflow, and
+    ranks read off such a product would be wrong.
     """
 
     def __init__(
@@ -125,7 +129,10 @@ class _PairAnalysis:
         if not math.isfinite(self.scale):
             raise NonFiniteInput("matrix pair has a non-finite entry")
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
-        ab, ba = m.a @ m.b, m.b @ m.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab, ba = m.a @ m.b, m.b @ m.a
+        if not (np.isfinite(ab).all() and np.isfinite(ba).all()):
+            raise NonFiniteInput("AB or BA has a non-finite entry (overflow)")
         self.products = {"ab": ab, "ba": ba}
         self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, ab, ba))
         self.pinv_exists = len(set(self.ranks)) == 1
@@ -150,7 +157,8 @@ class _PairAnalysis:
         """``similar(AB, BA)`` on the cached forms."""
         fa, fb = self.form("ab"), self.form("ba")
         scale = max(max_abs(x) for x in self.products.values())
-        return _same_structure(fa, fb, scale, self.cluster_gap)
+        match_tol = self.cluster_gap * max(scale, 1e-300)
+        return _same_structure(fa.blocks, fb.blocks, match_tol)
 
     def necessary(self) -> tuple[bool, bool, bool]:
         """The three necessary conditions of ``jsvd_necessary``."""
@@ -258,7 +266,10 @@ def naive_dc_svd(
         raise NonFiniteInput("matrix pair has a non-finite entry")
     if rank(m.a, tol) < n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
-    ab = m.a @ m.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = m.a @ m.b
+    if not np.isfinite(ab).all():
+        raise NonFiniteInput("AB has a non-finite entry (overflow)")
     lam, pvec = np.linalg.eig(ab)
     sv = np.linalg.svd(pvec, compute_uv=False)
     if sv[-1] <= DIAGONALIZABLE_RTOL * sv[0]:
@@ -290,23 +301,10 @@ def _jordan_pinv(j: np.ndarray, blocks: Blocks) -> np.ndarray:
     blocks invert, zero blocks stay zero.
     """
     out = np.zeros_like(j)
-    pos = 0
-    for lam, size in blocks:
+    for lam, span in _block_spans(blocks):
         if lam != 0:
-            span = slice(pos, pos + size)
             out[span, span] = np.linalg.inv(j[span, span])
-        pos += size
     return out
-
-
-def _zero_block_positions(blocks: Blocks) -> set[int]:
-    positions = set()
-    pos = 0
-    for lam, size in blocks:
-        if lam == 0:
-            positions.update(range(pos, pos + size))
-        pos += size
-    return positions
 
 
 def jordan_svd(
@@ -355,7 +353,10 @@ def _jordan_svd(
         DCVector(u_prime.a[:, k], u_prime.b[k, :]) for k in range(m.n)
     ]
     detected = {k for k, col in enumerate(columns) if col.max_abs() <= threshold}
-    structural = _zero_block_positions(blocks)
+    structural = {
+        k for lam, span in _block_spans(blocks) if lam == 0
+        for k in range(span.start, span.stop)
+    }
     if detected != structural:
         raise VerificationFailed(
             f"zero columns of U' at {sorted(detected)} do not match the zero "
@@ -388,7 +389,7 @@ def _jordan_svd(
 
 def _halfplane_normalized_factors(
     h: np.ndarray, tol: float, cluster_gap: float
-) -> tuple[np.ndarray, np.ndarray, Blocks]:
+) -> tuple[Blocks, np.ndarray, np.ndarray]:
     """Factor a complex matrix h as h = W Jt Z^-1 with [h,h] = [W,W^-1][Jt,Jt][Z,Z^-1]*.
 
     Jt is canonical Jordan with half-plane eigenvalues.  Blocks whose
@@ -398,21 +399,16 @@ def _halfplane_normalized_factors(
     """
     jf = jordan_decomposition(h, tol=tol, cluster_gap=cluster_gap)
     axis_tol = cluster_gap * max(max_abs(h), 1e-300)
-    pos = 0
     entries = []  # (block, w_cols, z_cols)
-    for lam, size in jf.blocks:
-        q_cols = jf.p[:, pos : pos + size]
-        pos += size
+    for lam, span in _block_spans(jf.blocks):
+        q_cols = jf.p[:, span]
+        size = q_cols.shape[1]
         alt = np.diag([(-1.0) ** i for i in range(size)]).astype(complex)
-        if halfplane_canonical(lam, axis_tol):
+        if in_halfplane(lam, axis_tol):
             entries.append(((lam, size), q_cols, q_cols))
         else:
             entries.append(((-lam, size), q_cols @ (-alt), q_cols @ alt))
-    entries.sort(key=lambda t: _block_sort_key(t[0]))
-    blocks = tuple(b for b, _, _ in entries)
-    w = np.hstack([wc for _, wc, _ in entries])
-    z = np.hstack([zc for _, _, zc in entries])
-    return w, z, blocks
+    return _canonical_order(*zip(*entries))
 
 
 def polar_to_jsvd(
@@ -433,7 +429,7 @@ def polar_to_jsvd(
     if not hf.is_hermitian(tol * max(1.0, scale)):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
-    w, z, blocks = _halfplane_normalized_factors(h, tol, cluster_gap)
+    blocks, w, z = _halfplane_normalized_factors(h, tol, cluster_gap)
     jt = jordan_matrix(blocks)
     u = pd.unitary_factor @ DCMatrix(w, np.linalg.inv(w))
     s = DCMatrix(jt, jt)
@@ -576,16 +572,6 @@ def _reverse_diagram(
         [source_image, np.zeros((n, kernel.shape[1]), dtype=complex)]
     )
     return target @ np.linalg.inv(stack)
-
-
-def block_pinv(
-    l: DCMatrix,
-    m: DCMatrix,
-    tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
-) -> DCMatrix:
-    """(L (+) M)+ = L+ (+) M+ implemented as the right-hand side."""
-    return direct_sum(pinv(l, tol, rng), pinv(m, tol, rng))
 
 
 # ---------------------------------------------------------------------------

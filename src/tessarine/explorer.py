@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dcmatrix import DCMatrix
-from .complex_linalg import DEFAULT_CLUSTER_GAP, jordan_matrix
+from .complex_linalg import DEFAULT_CLUSTER_GAP, jordan_matrix, _same_structure
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
     JsvdStatus,
@@ -226,10 +226,15 @@ def conjecture_scan(
     Each trial records whether AB is similar to BA next to the JSVD
     status.  Per-trial errors are recorded, never aborting the scan;
     ``sink``, if given, is called with each record as it is produced.
+    Bad arguments raise ``BadProfile`` before the first trial.
     """
+    if not profiles:
+        raise BadProfile(f"no profile given; choose from {PROFILES}")
     for p in profiles:
         if p not in PROFILES:
             raise BadProfile(f"unknown profile {p!r}; choose from {PROFILES}")
+    if n_max < 1 or n_max > MAX_N:
+        raise BadProfile(f"n must be in 1..{MAX_N}, got {n_max}")
     records: list[TrialRecord] = []
     summary = ScanSummary()
     for t in range(trials):
@@ -269,22 +274,6 @@ class UniquenessVerdict:
         return asdict(self)
 
 
-def _blocks_match(b1, b2, tol_abs: float) -> bool:
-    if len(b1) != len(b2):
-        return False
-    remaining = list(b2)
-    for lam, size in b1:
-        hit = None
-        for i, (mu, sz) in enumerate(remaining):
-            if sz == size and abs(lam - mu) <= tol_abs:
-                hit = i
-                break
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return not remaining
-
-
 def uniqueness_scan(
     m: DCMatrix,
     repetitions: int = 8,
@@ -298,7 +287,11 @@ def uniqueness_scan(
     gauges m -> [X,X^-1] m [Y,Y^-1]* (which must not change J), and
     through the polar-decomposition round trip.  Verdict is ``stable_j``
     unless some repetition produced a different canonical block multiset,
-    in which case every witness carries its replay seed.
+    in which case every witness carries its replay seed.  Block lists are
+    compared as ``similar`` compares them: eigenvalue groups match within
+    max(cluster_gap * max(|m|, 1), 10 * tol), and an eigenvalue of J
+    within that distance of two groups of a repetition raises
+    ``ClusterAmbiguity``.
     """
     base = jordan_svd(m, tol, np.random.default_rng(trial_seed(seed, 0)),
                       cluster_gap=cluster_gap)
@@ -306,7 +299,7 @@ def uniqueness_scan(
     witnesses = []
 
     def compare(rep: int, blocks, route: str, rep_seed: int):
-        if not _blocks_match(base.blocks, blocks, match_tol):
+        if not _same_structure(base.blocks, blocks, match_tol):
             witnesses.append(
                 {
                     "repetition": rep,

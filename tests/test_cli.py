@@ -144,6 +144,13 @@ class TestPinvCommand:
         assert code == 3
         assert doc["error"] == "no pseudoinverse: rank(A,B,AB,BA) = [1, 0, 0, 0]"
 
+    def test_overflowing_product_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_pair(path, [[1e200]], [[1e200]])
+        code, doc = run_cli(capsys, "pinv", str(path))
+        assert code == 4
+        assert doc["error"].startswith("NonFiniteInput: ")
+
 
 class TestJsvdCommand:
     def test_counterexample_exit_3_with_reason(self, tmp_path, capsys):
@@ -174,6 +181,13 @@ class TestSvdCommand:
         code, doc = run_cli(capsys, "svd", str(path))
         assert code == 4
         assert "NotDiagonalizable" in doc["error"]
+
+    def test_overflowing_product_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_pair(path, [[1e200]], [[1e200]])
+        code, doc = run_cli(capsys, "svd", str(path))
+        assert code == 4
+        assert doc["error"].startswith("NonFiniteInput: ")
 
     def test_invertible_factors_reverify(self, tmp_path, capsys):
         path, m = invertible_file(tmp_path, seed=2)
@@ -250,8 +264,12 @@ class TestExploreCommand:
         assert doc["seed"] == 33
 
     def test_bad_flags_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "x.ndjson"
-        code = main(["explore", "--trials", "2", "--profile", "bogus",
-                     "--out", str(out)])
-        capsys.readouterr()
-        assert code == 2
+        # each is rejected before the first trial: no record is written
+        for flags in (["--profile", "bogus"], ["--profile", ","],
+                      ["--n", "0"], ["--n", "-1"], ["--n", "7"]):
+            out = tmp_path / "x.ndjson"
+            code = main(["explore", "--trials", "40", *flags, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2, flags
+            assert captured.err.startswith("error: "), flags
+            assert not out.exists() or out.read_text() == "", flags

@@ -18,6 +18,7 @@ from tessarine.complex_linalg import (
     rank,
     similar,
     sqrt_via_jordan,
+    _same_structure,
 )
 from tessarine.errors import ClusterAmbiguity, NilpotentBlock
 
@@ -214,6 +215,31 @@ class TestSimilar:
         assert not similar(
             np.diag([1.0, 2.0]).astype(complex), np.diag([1.0, 3.0]).astype(complex)
         )
+
+
+class TestSameStructure:
+    """The block-list matcher behind similar, AB ~ BA and uniqueness_scan."""
+
+    def test_split_group_is_not_one_block(self):
+        assert not _same_structure(((1 + 0j, 1), (1 + 0j, 1)), ((1 + 0j, 2),), 1e-6)
+
+    def test_eigenvalue_inside_tolerance_matches(self):
+        a = ((1 + 0j, 2), (3 + 0j, 1))
+        b = ((1 + 5e-7j, 2), (3 - 5e-7 + 0j, 1))
+        assert _same_structure(a, b, 1e-6)
+        assert not _same_structure(a, b, 1e-7)
+
+    def test_sizes_must_agree_per_eigenvalue(self):
+        a = ((1 + 0j, 2), (3 + 0j, 1))
+        b = ((1 + 0j, 1), (3 + 0j, 2))
+        assert not _same_structure(a, b, 1e-6)
+
+    def test_ambiguous_match_raises(self):
+        # 1 lies within the tolerance of both 1 and 1 + 1e-7
+        a = ((1 + 0j, 1), (1 + 2e-7 + 0j, 1))
+        b = ((1 + 0j, 1), (1 + 1e-7 + 0j, 1))
+        with pytest.raises(ClusterAmbiguity):
+            _same_structure(a, b, 1e-6)
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:

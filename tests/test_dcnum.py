@@ -10,6 +10,7 @@ from tessarine.dcnum import (
     J,
     ONE,
     ZERO,
+    halfplane_sqrt,
     in_halfplane,
     sqrt_halfplane,
 )
@@ -104,6 +105,20 @@ class TestSqrt:
 
     def test_identity(self):
         assert sqrt_halfplane(ONE) == ONE
+
+    def test_branch_cut_tolerance(self):
+        # just below the cut the root's real part is 2.5e-13 > 0; within
+        # axis_tol of the cut the sign of the imaginary part decides
+        x = -4 - 1e-12j
+        assert halfplane_sqrt(x) == 2.5e-13 - 2j
+        assert halfplane_sqrt(x, axis_tol=1e-9) == -2.5e-13 + 2j
+        for r in (halfplane_sqrt(x), halfplane_sqrt(x, axis_tol=1e-9)):
+            assert r * r == x
+
+    def test_axis_tol_on_the_imaginary_axis(self):
+        assert in_halfplane(1e-12 - 1j) and not in_halfplane(-1e-12 + 1j)
+        assert not in_halfplane(1e-12 - 1j, axis_tol=1e-9)
+        assert in_halfplane(-1e-12 + 1j, axis_tol=1e-9)
 
     def test_random_square_roundtrip(self):
         rng = np.random.default_rng(3)

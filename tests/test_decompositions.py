@@ -12,7 +12,6 @@ from tessarine.decompositions import (
     JsvdStatus,
     PolarDecomposition,
     attempt_jordan_svd,
-    block_pinv,
     hermitian_jsvd,
     jordan_svd,
     jsvd_necessary,
@@ -24,6 +23,7 @@ from tessarine.decompositions import (
     pinv_via_diagrams,
     polar,
     polar_to_jsvd,
+    rank_quadruple,
 )
 from tessarine.errors import (
     NonFiniteInput,
@@ -32,7 +32,7 @@ from tessarine.errors import (
     PreconditionFailed,
     SingularComponent,
 )
-from tessarine.explorer import rank_condition_pair
+from tessarine.explorer import rank_condition_pair, uniqueness_scan
 
 
 def crand(rng, n):
@@ -406,8 +406,11 @@ class TestHermitianRoute:
 
 
 class TestBlockPinv:
+    """The block lemma (L (+) M)+ = L+ (+) M+."""
+
     def test_scalar_blocks(self):
-        out = block_pinv(DCMatrix([[2.0]], [[2.0]]), DCMatrix([[3.0]], [[3.0]]))
+        l, m = DCMatrix([[2.0]], [[2.0]]), DCMatrix([[3.0]], [[3.0]])
+        out = direct_sum(pinv(l), pinv(m))
         assert np.allclose(out.a, np.diag([0.5, 1 / 3]))
         assert np.allclose(out.b, np.diag([0.5, 1 / 3]))
 
@@ -415,7 +418,7 @@ class TestBlockPinv:
         good = DCMatrix([[2.0]], [[2.0]])
         bad = DCMatrix([[1.0]], [[0.0]])
         with pytest.raises(NoPseudoinverse):
-            block_pinv(good, bad)
+            direct_sum(pinv(good), pinv(bad))
         ok, _ = pinv_exists(direct_sum(good, bad))
         assert not ok
 
@@ -425,7 +428,8 @@ class TestBlockPinv:
             l = rank_condition_pair(int(rng.integers(1, 4)), rng)
             m = rank_condition_pair(int(rng.integers(1, 4)), rng)
             lhs = pinv(direct_sum(l, m), rng=np.random.default_rng(trial))
-            rhs = block_pinv(l, m, rng=np.random.default_rng(trial))
+            rng_t = np.random.default_rng(trial)
+            rhs = direct_sum(pinv(l, rng=rng_t), pinv(m, rng=rng_t))
             assert (lhs - rhs).norm_inf() <= 1e-9 * max(1, lhs.norm_inf())
 
     def test_jordan_block_sums_exist_iff_blocks_invertible_or_zero(self):
@@ -466,6 +470,34 @@ class TestNonFiniteInput:
         b[2, 0] = bad
         with pytest.raises(NonFiniteInput):
             self.ENTRY_POINTS[entry](DCMatrix(np.eye(3), b))
+
+    PAIR_ENTRY_POINTS = {
+        "attempt_jordan_svd": attempt_jordan_svd,
+        "jordan_svd": jordan_svd,
+        "pinv": pinv,
+        "pinv_via_diagrams": pinv_via_diagrams,
+        "polar": polar,
+        "naive_dc_svd": naive_dc_svd,
+        "pinv_exists": pinv_exists,
+        "rank_quadruple": rank_quadruple,
+        "jsvd_necessary": jsvd_necessary,
+        "uniqueness_scan": uniqueness_scan,
+    }
+
+    @pytest.mark.parametrize("entry", list(PAIR_ENTRY_POINTS))
+    def test_overflowing_product_raises(self, entry):
+        # finite entries whose products overflow: AB = BA = [[inf]]; the
+        # pseudoinverse [[1e-200]] exists, so "no pseudoinverse" is wrong
+        with pytest.raises(NonFiniteInput):
+            self.PAIR_ENTRY_POINTS[entry](DCMatrix([[1e200]], [[1e200]]))
+
+    def test_overflow_in_ba_alone_raises(self):
+        a = np.array([[1e200, 0], [0, 0]], dtype=complex)
+        b = np.array([[0, 0], [1e200, 0]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(a @ b).all() and not np.isfinite(b @ a).all()
+        with pytest.raises(NonFiniteInput):
+            pinv_exists(DCMatrix(a, b))
 
 
 class TestPairAnalysedOnce:

@@ -10,6 +10,7 @@ from tessarine.complex_linalg import jordan_matrix
 from tessarine.decompositions import JsvdStatus, jsvd_necessary, pinv_exists
 from tessarine.errors import BadProfile
 from tessarine.explorer import (
+    MAX_N,
     PROFILES,
     conjecture_scan,
     generate_pair,
@@ -135,6 +136,17 @@ class TestConjectureScan:
     def test_bad_profile_rejected(self):
         with pytest.raises(BadProfile):
             conjecture_scan(trials=1, profiles=("bogus",))
+
+    @pytest.mark.parametrize(
+        "profiles,n_max",
+        [((), 5), (("dense",), 0), (("dense",), -1), (("dense",), MAX_N + 1)],
+        ids=["no-profile", "n0", "n-1", "n-too-large"],
+    )
+    def test_bad_arguments_rejected_before_first_trial(self, profiles, n_max):
+        seen = []
+        with pytest.raises(BadProfile):
+            conjecture_scan(40, profiles, n_max, sink=seen.append)
+        assert seen == []
 
 
 class TestUniqueness:
