@@ -27,7 +27,7 @@ from .decompositions import (
     pinv,
 )
 from .errors import NoPseudoinverse, TessarineError
-from .explorer import PROFILES, conjecture_scan, _blocks_as_json
+from .explorer import PROFILES, conjecture_scan, _blocks_as_json, _check_scan_args
 from .pairfile import PairFormatError, load_pair, pair_to_obj
 
 EXIT_OK = 0
@@ -202,6 +202,8 @@ def cmd_polar(args) -> int:
 def cmd_explore(args) -> int:
     profiles = tuple(p.strip() for p in args.profile.split(",") if p.strip())
     try:
+        # reject bad arguments before --out is opened (and truncated)
+        _check_scan_args(profiles, args.n)
         with open(args.out, "w", encoding="utf-8") as fh:
             def sink(rec):
                 fh.write(json.dumps(rec.as_dict()))

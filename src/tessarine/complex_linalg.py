@@ -7,9 +7,12 @@ complex Moore-Penrose pseudoinverse, and similarity testing.
 
 The Jordan machinery is deliberately scoped: eigenvalues are clustered
 at a caller-adjustable gap, clusters must be well separated, and every
-result is verified by reconstruction.  When the eigenvalue geometry
-cannot be resolved reliably the functions raise ``ClusterAmbiguity``
-rather than guessing.
+result is verified by reconstruction.  One rule per cluster: a simple
+eigenvalue's chain is its unit eigenvector from ``numpy.linalg.eig``;
+only a repeated cluster gets a sorted Schur reordering (scipy) and a
+nullity staircase for its chains.  When the eigenvalue geometry cannot
+be resolved reliably the functions raise ``ClusterAmbiguity`` rather
+than guessing.
 """
 
 from __future__ import annotations
@@ -261,21 +264,17 @@ def jordan_matrix(blocks: Blocks) -> np.ndarray:
     )
 
 
-def _block_sort_key(block):
-    lam, size = block
-    return (lam.real, lam.imag, -size)
-
-
 def _canonical_order(blocks, *column_lists) -> tuple:
     """Blocks in canonical order, with per-block columns stacked to match.
 
     Returns (blocks, stacked, ...) with one stacked matrix per list in
     ``column_lists``; ties keep their input order.
     """
-    order = sorted(range(len(blocks)), key=lambda i: _block_sort_key(blocks[i]))
+    keys = [(lam.real, lam.imag, -size) for lam, size in blocks]
+    order = sorted(range(len(blocks)), key=keys.__getitem__)
     return (
         tuple(blocks[i] for i in order),
-        *(np.hstack([cols[i] for i in order]) for cols in column_lists),
+        *(np.concatenate([cols[i] for i in order], axis=1) for cols in column_lists),
     )
 
 
@@ -298,6 +297,8 @@ def jordan_decomposition(
     treated as equal (single linkage); distinct clusters must then be
     separated by at least ``SEPARATION_FACTOR`` times that gap, otherwise
     ``ClusterAmbiguity`` is raised and the caller should adjust the gap.
+    A simple eigenvalue contributes its unit eigenvector; only a repeated
+    cluster is Schur-reordered and split into chains by its nullities.
     The result is verified by reconstruction.
     """
     a = _as_square(a)
@@ -314,54 +315,44 @@ def jordan_decomposition(
     clusters = _cluster_indices(eigs, gap)
     _check_separation(eigs, clusters, gap)
     means = [complex(np.mean(eigs[idx])) for idx in clusters]
-    order = sorted(range(len(clusters)), key=lambda c: (means[c].real, means[c].imag))
 
-    max_spread = max(
-        float(max(abs(eigs[i] - means[c]) for i in idx)) if len(idx) > 1 else 0.0
-        for c, idx in enumerate(clusters)
-    )
+    max_spread = 0.0
     blocks: list[tuple[complex, int]] = []
     columns: list[np.ndarray] = []
-    if all(len(c) == 1 for c in clusters):
-        # generic diagonalizable path: one eigenvector per cluster
-        for c in order:
-            idx = clusters[c][0]
-            v = vecs[:, idx]
-            columns.append(v / np.linalg.norm(v))
-            blocks.append((means[c], 1))
-        p = np.column_stack(columns)
-    else:
-        for c in order:
-            idx = clusters[c]
-            lam = means[c]
-            if len(idx) == n:
-                q1 = np.eye(n, dtype=complex)
-            else:
-                # the only use of scipy: loaded here so that imports and
-                # inputs without a clustered eigenvalue never pay for it
-                from scipy.linalg import schur
+    for c, idx in enumerate(clusters):
+        lam = means[c]
+        if len(idx) == 1:
+            # a simple eigenvalue: its chain is its unit eigenvector
+            v = vecs[:, idx[0]]
+            columns.append((v / np.linalg.norm(v))[:, None])
+            blocks.append((lam, 1))
+            continue
+        if len(idx) == n:
+            q1 = np.eye(n, dtype=complex)
+        else:
+            # the only use of scipy: loaded here so that imports and
+            # inputs without a repeated eigenvalue never pay for it
+            from scipy.linalg import schur
 
-                target = np.array(means)
-                want = c
-                _, z_, sdim = schur(
-                    a,
-                    output="complex",
-                    sort=lambda x: int(np.argmin(np.abs(target - x))) == want,
+            target = np.array(means)
+            _, z_, sdim = schur(
+                a,
+                output="complex",
+                sort=lambda x: int(np.argmin(np.abs(target - x))) == c,
+            )
+            if sdim != len(idx):
+                raise ClusterAmbiguity(
+                    f"Schur reordering selected {sdim} eigenvalues for a "
+                    f"cluster of size {len(idx)}"
                 )
-                if sdim != len(idx):
-                    raise ClusterAmbiguity(
-                        f"Schur reordering selected {sdim} eigenvalues for a "
-                        f"cluster of size {len(idx)}"
-                    )
-                q1 = z_[:, :sdim]
-            restricted = q1.conj().T @ a @ q1
-            e = restricted - lam * np.eye(len(idx))
-            spread = float(max(abs(eigs[i] - lam) for i in idx))
-            for chain in _cluster_chains(e, spread, scale):
-                columns.append(q1 @ chain)
-                blocks.append((lam, chain.shape[1]))
-        # canonical order inside each eigenvalue: size descending
-        blocks, p = _canonical_order(blocks, columns)
+            q1 = z_[:, :sdim]
+        e = q1.conj().T @ a @ q1 - lam * np.eye(len(idx))
+        spread = float(max(abs(eigs[i] - lam) for i in idx))
+        max_spread = max(max_spread, spread)
+        for chain in _cluster_chains(e, spread, scale):
+            columns.append(q1 @ chain)
+            blocks.append((lam, chain.shape[1]))
+    blocks, p = _canonical_order(blocks, columns)
 
     j = jordan_matrix(tuple(blocks))
     residual = max_abs(p @ j @ np.linalg.inv(p) - a)

@@ -212,6 +212,17 @@ def run_trial(
     )
 
 
+def _check_scan_args(profiles: tuple[str, ...], n_max: int) -> None:
+    """Raise ``BadProfile`` unless ``conjecture_scan`` accepts these arguments."""
+    if not profiles:
+        raise BadProfile(f"no profile given; choose from {PROFILES}")
+    for p in profiles:
+        if p not in PROFILES:
+            raise BadProfile(f"unknown profile {p!r}; choose from {PROFILES}")
+    if n_max < 1 or n_max > MAX_N:
+        raise BadProfile(f"n must be in 1..{MAX_N}, got {n_max}")
+
+
 def conjecture_scan(
     trials: int,
     profiles: tuple[str, ...] = ("dense", "ranks"),
@@ -228,13 +239,7 @@ def conjecture_scan(
     ``sink``, if given, is called with each record as it is produced.
     Bad arguments raise ``BadProfile`` before the first trial.
     """
-    if not profiles:
-        raise BadProfile(f"no profile given; choose from {PROFILES}")
-    for p in profiles:
-        if p not in PROFILES:
-            raise BadProfile(f"unknown profile {p!r}; choose from {PROFILES}")
-    if n_max < 1 or n_max > MAX_N:
-        raise BadProfile(f"n must be in 1..{MAX_N}, got {n_max}")
+    _check_scan_args(profiles, n_max)
     records: list[TrialRecord] = []
     summary = ScanSummary()
     for t in range(trials):

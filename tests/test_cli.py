@@ -264,12 +264,14 @@ class TestExploreCommand:
         assert doc["seed"] == 33
 
     def test_bad_flags_exit_2(self, tmp_path, capsys):
-        # each is rejected before the first trial: no record is written
+        # each is rejected before --out is opened: an existing file survives
+        previous = b'{"seed": 1, "n": 2}\n'
         for flags in (["--profile", "bogus"], ["--profile", ","],
                       ["--n", "0"], ["--n", "-1"], ["--n", "7"]):
             out = tmp_path / "x.ndjson"
+            out.write_bytes(previous)
             code = main(["explore", "--trials", "40", *flags, "--out", str(out)])
             captured = capsys.readouterr()
             assert code == 2, flags
             assert captured.err.startswith("error: "), flags
-            assert not out.exists() or out.read_text() == "", flags
+            assert out.read_bytes() == previous, flags

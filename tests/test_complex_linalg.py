@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tessarine.complex_linalg import (
+    JORDAN_RECON_TOL,
+    SEPARATION_FACTOR,
     column_space,
     jordan_decomposition,
     jordan_matrix,
@@ -20,6 +23,7 @@ from tessarine.complex_linalg import (
     sqrt_via_jordan,
     _same_structure,
 )
+from tessarine.dcmatrix import max_abs
 from tessarine.errors import ClusterAmbiguity, NilpotentBlock
 
 
@@ -131,6 +135,95 @@ class TestJordan:
         # a larger gap resolves them into one cluster
         jf = jordan_decomposition(a, cluster_gap=1e-4)
         assert sorted(s for _, s in jf.blocks) == [1, 1, 1]
+
+
+class TestSchurOnlyForRepeatedClusters:
+    """Simple eigenvalues take their eig vectors; only repeated ones reach schur."""
+
+    def decompose_counting_schur(self, monkeypatch, blocks, seed):
+        import scipy.linalg
+
+        calls = []
+        real_schur = scipy.linalg.schur
+
+        def counting_schur(*args, **kwargs):
+            calls.append(1)
+            return real_schur(*args, **kwargs)
+
+        # the lazy ``from scipy.linalg import schur`` reads this attribute
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        j = jordan_matrix(blocks)
+        p = crand(np.random.default_rng(seed), j.shape[0], j.shape[0])
+        a = p @ j @ np.linalg.inv(p)
+        jf = jordan_decomposition(a)
+        recon = jf.p @ jf.j @ np.linalg.inv(jf.p)
+        assert np.abs(recon - a).max() <= 1e-6 * np.abs(a).max()
+        got = [(round(l.real, 6), round(l.imag, 6), s) for l, s in jf.blocks]
+        return got, len(calls)
+
+    def test_one_schur_for_one_repeated_cluster(self, monkeypatch):
+        blocks = ((-1 + 0j, 1), (2 + 0j, 2), (3j, 1), (5 + 0j, 1))
+        got, calls = self.decompose_counting_schur(monkeypatch, blocks, 9)
+        assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 2), (5.0, 0.0, 1)]
+        assert calls == 1
+
+    def test_distinct_eigenvalues_never_call_schur(self, monkeypatch):
+        blocks = ((-1 + 0j, 1), (2 + 0j, 1), (3j, 1), (5 + 0j, 1))
+        got, calls = self.decompose_counting_schur(monkeypatch, blocks, 10)
+        assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 1), (5.0, 0.0, 1)]
+        assert calls == 0
+
+
+# eigenvalues one apart: far outside the SEPARATION_FACTOR * gap band below
+EIGENVALUE_GRID = [complex(re, im) for re in range(-2, 3) for im in range(-2, 3)]
+MIXED_GAP = 1e-4
+
+
+@st.composite
+def mixed_spectra(draw):
+    """One repeated eigenvalue next to one to three simple ones, scaled by s."""
+    lams = draw(st.lists(st.sampled_from(EIGENVALUE_GRID), min_size=2, max_size=4,
+                         unique=True))
+    sizes = draw(st.sampled_from([(2,), (1, 1), (3,), (2, 1), (2, 2)]))
+    blocks = tuple((lams[0], size) for size in sizes) + tuple((l, 1) for l in lams[1:])
+    s = 10.0 ** draw(st.floats(-6, 6))
+    return blocks, draw(st.integers(0, 2**32 - 1)), s
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(mixed_spectra())
+def test_mixed_spectra_recovered_at_any_scale(case):
+    blocks, seed, s = case
+    rng = np.random.default_rng(seed)
+    n = sum(size for _, size in blocks)
+    q, _ = np.linalg.qr(crand(rng, n, n))
+    p = q @ (np.eye(n) + 0.5 * np.triu(crand(rng, n, n), 1))
+    assume(np.linalg.cond(p) < 30)
+    a = s * (p @ jordan_matrix(blocks) @ np.linalg.inv(p))
+    scale = max_abs(a)
+    assert SEPARATION_FACTOR * MIXED_GAP * scale < 0.1 * s
+
+    jf = jordan_decomposition(a, cluster_gap=MIXED_GAP)
+
+    def key(block):
+        lam, size = block
+        return (round(lam.real / s, 6), round(lam.imag / s, 6), -size)
+
+    got = sorted(jf.blocks, key=key)
+    want = sorted(((s * mu, size) for mu, size in blocks), key=key)
+    assert [size for _, size in got] == [size for _, size in want]
+    for (lam, _), (mu, _) in zip(got, want):
+        assert abs(lam - mu) <= 1e-8 * scale
+    # the allowance's scale term alone; the spread term only loosens it
+    residual = max_abs(jf.p @ jf.j @ np.linalg.inv(jf.p) - a)
+    assert residual <= JORDAN_RECON_TOL * scale
+    simple = {lam for lam, size in blocks if size == 1} - {blocks[0][0]}
+    starts = np.cumsum([0] + [size for _, size in jf.blocks])
+    for start, (lam, _) in zip(starts, jf.blocks):
+        if complex(round(lam.real / s), round(lam.imag / s)) in simple:
+            v = jf.p[:, start]
+            assert np.isclose(np.linalg.norm(v), 1.0)
+            assert np.linalg.norm(a @ v - lam * v) <= 1e-8 * np.linalg.norm(a, 2)
 
 
 class TestSqrt:
