@@ -1,9 +1,10 @@
 """Complex-matrix kernels used by the double-complex decompositions.
 
 Everything here works on plain complex numpy arrays: numerical rank,
-orthonormal subspace bases, a dense Jordan decomposition for desk-scale
-matrices, primary matrix square roots through the Jordan form, the
-complex Moore-Penrose pseudoinverse, and similarity testing.
+kernel staircases, orthonormal subspace bases, a dense Jordan
+decomposition for desk-scale matrices, primary matrix square roots
+through the Jordan form, the complex Moore-Penrose pseudoinverse, and
+similarity testing.
 
 The Jordan machinery is deliberately scoped: eigenvalues are clustered
 at a caller-adjustable gap, clusters must be well separated, and every
@@ -86,6 +87,30 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     if s[0] == 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def _kernel_staircase(x: np.ndarray, tol: float) -> list[int]:
+    """dim ker x^k for k = 1, 2, ... while it grows.
+
+    ker x^k is the kernel of x projected off ker x^(k-1), so no power of
+    x is formed.  A singular value counts as zero when it is at most tol
+    times the 2-norm of x, at every step; the first entry is therefore
+    n - ``rank(x, tol)``.
+    """
+    n = x.shape[0]
+    kernel = np.zeros((n, 0), dtype=complex)
+    out: list[int] = []
+    while True:
+        _, s, vh = np.linalg.svd(x - kernel @ (kernel.conj().T @ x))
+        if not out:
+            threshold = tol * s[0]
+        r = int(np.count_nonzero(s > threshold))
+        if out and n - r <= out[-1]:
+            return out
+        out.append(n - r)
+        if r in (0, n):
+            return out
+        kernel = vh[r:].conj().T
 
 
 def _image_and_kernel(a, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -314,7 +339,11 @@ def jordan_decomposition(
     eigs, vecs = np.linalg.eig(a)
     clusters = _cluster_indices(eigs, gap)
     _check_separation(eigs, clusters, gap)
-    means = [complex(np.mean(eigs[idx])) for idx in clusters]
+    # a cluster of one reads its eigenvalue; + 0j maps -0.0 to +0.0 as np.mean
+    means = [
+        complex(eigs[idx[0]]) + 0j if len(idx) == 1 else complex(np.mean(eigs[idx]))
+        for idx in clusters
+    ]
 
     max_spread = 0.0
     blocks: list[tuple[complex, int]] = []
@@ -417,13 +446,6 @@ def sqrt_jordan_factors(
     """
     a = _as_square(a)
     jf = jordan_decomposition(a, tol=tol, cluster_gap=cluster_gap)
-    return _sqrt_from_jordan(a, jf, cluster_gap)
-
-
-def _sqrt_from_jordan(
-    a, jf: JordanForm, cluster_gap: float
-) -> tuple[np.ndarray, JordanForm]:
-    """``sqrt_jordan_factors`` of a, given its Jordan form jf."""
     scale = max_abs(a)
     zero_tol = cluster_gap * scale
 

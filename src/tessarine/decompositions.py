@@ -23,18 +23,16 @@ from .dcmatrix import DCMatrix, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
-    JordanForm,
     jordan_decomposition,
     jordan_matrix,
     rank,
+    sqrt_jordan_factors,
     _block_spans,
     _canonical_order,
     _image_and_kernel,
-    _same_structure,
-    _sqrt_from_jordan,
+    _kernel_staircase,
 )
 from .errors import (
-    ClusterAmbiguity,
     DimensionMismatch,
     NonFiniteInput,
     NoPseudoinverse,
@@ -93,9 +91,9 @@ class ExistenceReport:
     rank_ab: int
     rank_ba: int
     pinv_exists: bool
-    jsvd_nec1: bool | None
-    jsvd_nec2: bool | None
-    jsvd_nec3: bool | None
+    jsvd_nec1: bool
+    jsvd_nec2: bool
+    jsvd_nec3: bool
     jsvd_status: JsvdStatus
     reason: str | None = None
 
@@ -112,10 +110,11 @@ class _PairAnalysis:
     """The facts every decision about one pair [A, B] is made from.
 
     AB, BA and the rank quadruple are computed on construction; the
-    Jordan forms of AB and BA once each, when first asked for.  When BA
+    kernel staircases of AB and BA, which decide AB ~ BA and the
+    square-root conditions, once each, when first asked for.  When BA
     equals AB bit for bit (every n = 1 pair, every commuting pair) both
-    share AB's form.  A form that raised ``ClusterAmbiguity`` raises it
-    again on every access.  Cached forms are shared, never modified.
+    share AB's.  No Jordan form is computed here: only the construction
+    of factors needs one.
 
     Construction raises ``NonFiniteInput`` when the pair, AB or BA has a
     NaN or infinite entry: products of finite matrices can overflow, and
@@ -137,37 +136,31 @@ class _PairAnalysis:
         self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, ab, ba))
         self.pinv_exists = len(set(self.ranks)) == 1
         self._source = {"ab": "ab", "ba": "ab" if np.array_equal(ab, ba) else "ba"}
-        self._forms: dict[str, JordanForm | ClusterAmbiguity] = {}
+        self._nullities: dict[str, list[int]] = {}
 
-    def form(self, product: str) -> JordanForm:
-        """Jordan form of AB (``product`` "ab") or of BA ("ba")."""
+    def nullities(self, product: str) -> list[int]:
+        """dim ker x^k for k = 1, 2, ... while it grows, of x = AB
+        (``product`` "ab") or BA ("ba")."""
         key = self._source[product]
-        if key not in self._forms:
-            try:
-                self._forms[key] = jordan_decomposition(
-                    self.products[key], tol=self.tol, cluster_gap=self.cluster_gap
-                )
-            except ClusterAmbiguity as ex:
-                self._forms[key] = ex
-        if isinstance(self._forms[key], ClusterAmbiguity):
-            raise self._forms[key]
-        return self._forms[key]
+        if key not in self._nullities:
+            n, r = self.m.n, self.ranks[2 if key == "ab" else 3]
+            self._nullities[key] = (
+                [n - r] if r in (0, n)
+                else _kernel_staircase(self.products[key], self.tol)
+            )
+        return self._nullities[key]
 
     def ab_similar_ba(self) -> bool:
-        """``similar(AB, BA)`` on the cached forms."""
-        fa, fb = self.form("ab"), self.form("ba")
-        scale = max(max_abs(x) for x in self.products.values())
-        match_tol = self.cluster_gap * max(scale, 1e-300)
-        return _same_structure(fa.blocks, fb.blocks, match_tol)
+        """AB ~ BA: by Flanders' theorem AB and BA share their Jordan blocks
+        at every nonzero eigenvalue, so equal kernel staircases decide it."""
+        return self.nullities("ab") == self.nullities("ba")
 
     def necessary(self) -> tuple[bool, bool, bool]:
         """The three necessary conditions of ``jsvd_necessary``."""
-        roots = []
-        for product, x in self.products.items():
-            zero_tol = self.cluster_gap * max_abs(x)
-            blocks = self.form(product).blocks
-            nil_sizes = [size for lam, size in blocks if abs(lam) <= zero_tol]
-            roots.append(_sizes_admit_sqrt(nil_sizes))
+        roots = [
+            _sizes_admit_sqrt(_nilpotent_sizes(self.nullities(product)))
+            for product in self.products
+        ]
         return (self.ranks[0] == self.ranks[1], *roots)
 
 
@@ -184,6 +177,19 @@ def pinv_exists(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int,
     """Rank criterion: a pseudoinverse exists iff all four ranks agree."""
     pa = _PairAnalysis(m, tol)
     return pa.pinv_exists, pa.ranks
+
+
+def _nilpotent_sizes(nullities: list[int]) -> list[int]:
+    """Jordan block sizes at eigenvalue 0 read off dim ker x^k, k = 1, 2, ...
+
+    dim ker x^k - dim ker x^(k-1) blocks have size k or more.
+    """
+    at_least = [b - a for a, b in zip([0, *nullities], nullities)] + [0]
+    return [
+        k + 1
+        for k in range(len(nullities))
+        for _ in range(at_least[k] - at_least[k + 1])
+    ]
 
 
 def _sizes_admit_sqrt(sizes: list[int]) -> bool:
@@ -211,7 +217,9 @@ def jsvd_necessary(
     """The three necessary conditions for a Jordan SVD of [A, B].
 
     1. rank(A) = rank(B); 2. AB has a square root; 3. BA has a square
-    root.  Root existence is decided on the Jordan structure.
+    root.  Only the nilpotent Jordan blocks can stand in a root's way;
+    their sizes are read off the kernel staircase of each product, so no
+    Jordan form is computed.
     """
     return _PairAnalysis(m, tol, cluster_gap).necessary()
 
@@ -340,7 +348,7 @@ def _jordan_svd(
     m = pa.m
     if rng is None:
         rng = np.random.default_rng(0)
-    _, root_jf = _sqrt_from_jordan(pa.products["ba"], pa.form("ba"), pa.cluster_gap)
+    _, root_jf = sqrt_jordan_factors(pa.products["ba"], pa.tol, pa.cluster_gap)
     p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
     v = DCMatrix(p, np.linalg.inv(p))
     s = DCMatrix(j, j)
@@ -604,18 +612,9 @@ def _attempt_jordan_svd(
     pa: _PairAnalysis, rng, recon_tol: float = DEFAULT_RECON_TOL, max_retries: int = 16
 ) -> tuple[JordanSVD | None, ExistenceReport]:
     m, ranks, rank_ok = pa.m, pa.ranks, pa.pinv_exists
-    reason = None
-    try:
-        nec1, nec2, nec3 = pa.necessary()
-    except ClusterAmbiguity as ex:
-        nec1 = ranks[0] == ranks[1]
-        nec2 = nec3 = None
-        reason = f"ClusterAmbiguity: {ex}"
-
-    jsvd = None
-    failed = [
-        i + 1 for i, ok in enumerate((nec1, nec2, nec3)) if ok is False
-    ]
+    nec1, nec2, nec3 = pa.necessary()
+    reason = jsvd = None
+    failed = [i + 1 for i, ok in enumerate((nec1, nec2, nec3)) if not ok]
     if failed:
         status = JsvdStatus.NOT_EXISTS
         reason = f"necessary condition {failed[0]} fails"
@@ -635,7 +634,7 @@ def _attempt_jordan_svd(
                 reason = f"{type(ex).__name__}: {ex}"
         else:
             status = JsvdStatus.UNKNOWN
-            reason = reason or "rank condition fails; existence undetermined"
+            reason = "rank condition fails; existence undetermined"
 
     report = ExistenceReport(
         rank_a=ranks[0],

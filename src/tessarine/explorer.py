@@ -4,7 +4,9 @@ Problem 1 (existence): is "AB similar to BA" equivalent to the Jordan
 SVD existing?  The scan records the similarity verdict next to the
 three-valued construction status and flags any (exists, not similar) or
 (not exists, similar) cell as a candidate counterexample - a reportable
-finding, never a silent drop.
+finding, never a silent drop.  Similarity and the necessary conditions
+are read off the kernel staircases of AB and BA; a Jordan form is
+computed only when the construction builds factors.
 
 Problem 2 (uniqueness of J): the scan reruns the construction under
 random unitary gauges and through the polar route and compares the
@@ -29,7 +31,7 @@ from .decompositions import (
     _attempt_jordan_svd,
     _PairAnalysis,
 )
-from .errors import BadProfile, TessarineError
+from .errors import BadProfile
 
 PROFILES = ("dense", "ranks", "invertible", "jordan", "counterexample")
 MAX_N = 6
@@ -180,15 +182,7 @@ def run_trial(
     """Run one reproducible trial: generate, test similarity, try the JSVD."""
     rng = np.random.default_rng(seed)
     pa = _PairAnalysis(generate_pair(profile, n, rng), tol, cluster_gap)
-    error = None
-
-    sim: bool | None
-    try:
-        sim = pa.ab_similar_ba()
-    except TessarineError as ex:
-        sim = None
-        error = f"similar: {type(ex).__name__}"
-
+    sim = pa.ab_similar_ba()
     jsvd, report = _attempt_jordan_svd(pa, np.random.default_rng(seed))
     status = report.jsvd_status
     blocks = _blocks_as_json(jsvd.blocks) if jsvd is not None else None
@@ -208,7 +202,6 @@ def run_trial(
         j_blocks=blocks,
         residual=residual,
         consistent=consistent,
-        error=error,
     )
 
 

@@ -98,6 +98,8 @@ def load_pair(path) -> DCMatrix:
             obj = json.load(fh)
         except json.JSONDecodeError as ex:
             raise PairFormatError(f"invalid JSON: {ex}") from ex
+        except UnicodeDecodeError as ex:
+            raise PairFormatError(f"not UTF-8 text: {ex}") from ex
     return obj_to_pair(obj)
 
 

@@ -120,6 +120,12 @@ class TestCheck:
         path.write_text("{not json")
         assert main(["check", str(path)]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "noise.json"
+        path.write_bytes(bytes(range(156, 256)))
+        assert main(["check", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/file.json"]) == 2
 

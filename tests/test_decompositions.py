@@ -1,9 +1,11 @@
 """The core factorizations: naive SVD, Jordan SVD, pseudoinverses, polar."""
 
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tessarine import complex_linalg, explorer
 from tessarine.dcmatrix import DCMatrix, direct_sum, embed_complex, max_abs
@@ -24,6 +26,7 @@ from tessarine.decompositions import (
     polar,
     polar_to_jsvd,
     rank_quadruple,
+    _PairAnalysis,
 )
 from tessarine.errors import (
     NonFiniteInput,
@@ -281,17 +284,31 @@ class TestAttempt:
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
         assert report.reason == "necessary condition 3 fails"
 
-    def test_cluster_ambiguity_reason_kept(self):
-        # two eigenvalues of AB and BA 1.6e-5 apart, inside the ambiguity
-        # band, on a pair that also fails the rank condition
+    def test_pair_in_the_ambiguity_band_decided(self):
+        # two eigenvalues of AB and BA 1.6e-5 apart, inside the clustering
+        # ambiguity band; the kernel staircases decide the pair anyway: BA
+        # has a J_2(0) block and so no square root
         rng = np.random.default_rng(2562788860415502239)
         m = explorer.generate_pair("counterexample", 4, rng)
         jsvd, report = attempt_jordan_svd(m)
         assert jsvd is None
         assert not report.pinv_exists
+        assert report.jsvd_status is JsvdStatus.NOT_EXISTS
+        assert (report.jsvd_nec1, report.jsvd_nec2, report.jsvd_nec3) == (
+            True, True, False
+        )
+        assert report.reason == "necessary condition 3 fails"
+
+    def test_cluster_ambiguity_reason_kept(self):
+        # B has two eigenvalues 3e-6 apart, inside the ambiguity band: the
+        # conditions hold, and building the factors refuses
+        m = DCMatrix(np.eye(3), np.diag([1.0, 1 + 3e-6, 2.0]))
+        jsvd, report = attempt_jordan_svd(m)
+        assert jsvd is None
+        assert report.pinv_exists
         assert report.jsvd_status is JsvdStatus.UNKNOWN
-        assert report.jsvd_nec2 is None and report.jsvd_nec3 is None
-        assert report.reason.startswith("ClusterAmbiguity: eigenvalue clusters")
+        assert report.jsvd_nec2 is True and report.jsvd_nec3 is True
+        assert report.reason.startswith("ClusterAmbiguity:")
 
     def test_invertible_exists(self):
         rng = np.random.default_rng(14)
@@ -308,6 +325,93 @@ class TestAttempt:
         assert jsvd is None
         assert report.jsvd_status is JsvdStatus.UNKNOWN
         assert report.jsvd_nec1 and report.jsvd_nec2 and report.jsvd_nec3
+
+
+class TestVerdictsFromKernels:
+    """AB ~ BA and the square-root conditions need no eigenvalues."""
+
+    @staticmethod
+    def nilpotent_pair(seed):
+        # [N, cN] with N nilpotent: AB = BA = c N^2 = (sqrt(c) N)^2
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, n - sum(sizes) + 1)))
+        r = crand(rng, n)
+        nil = r @ jordan_matrix(tuple((0j, size) for size in sizes)) @ np.linalg.inv(r)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        return DCMatrix(nil, c * nil)
+
+    def test_nilpotent_pairs_decided(self):
+        # a nilpotent spectrum spreads as eps^(1/k), so eigenvalue
+        # clustering refused some of these pairs and split others
+        for seed in range(200):
+            m = self.nilpotent_pair(seed)
+            assert jsvd_necessary(m) == (True, True, True), seed
+            assert _PairAnalysis(m, 1e-9).ab_similar_ba(), seed
+
+
+def _shift(k):
+    return jordan_matrix(((0j, k),))
+
+
+# Canonical pieces [A_i, B_i] under (A, B) -> (S A T^-1, T B S^-1): the
+# nonsingular part (I, J_k(lam)), nilpotent blocks on either side, and
+# the strings whose AB and BA differ (the counterexample and its swap).
+CANONICAL_PIECES = (
+    (np.eye(1), np.eye(1)),
+    (np.eye(1), -2 * np.eye(1)),
+    (np.eye(2), jordan_matrix(((1j, 2),))),
+    (np.zeros((1, 1)), np.zeros((1, 1))),
+    (_shift(2), np.eye(2)),
+    (_shift(3), np.eye(3)),
+    (np.eye(2), _shift(2)),
+    (np.eye(3), _shift(3)),
+    (np.diag([0.0, 1.0]), _shift(2)),
+    (_shift(2), np.diag([0.0, 1.0])),
+    (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+)
+
+
+def _gauge_factor(rng, n):
+    """Random complex matrix with condition number below 30."""
+    q1, _ = np.linalg.qr(crand(rng, n))
+    q2, _ = np.linalg.qr(crand(rng, n))
+    x = q1 @ np.diag(10.0 ** rng.uniform(0, 1.4, n)) @ q2
+    assert np.linalg.cond(x) < 30
+    return x
+
+
+@st.composite
+def prescribed_pairs(draw):
+    """A direct sum of canonical pieces, a gauge seed and a scale s."""
+    indices = draw(st.lists(st.integers(0, len(CANONICAL_PIECES) - 1),
+                            min_size=1, max_size=4))
+    pieces = [CANONICAL_PIECES[i] for i in indices]
+    while sum(a.shape[0] for a, _ in pieces) > 6:
+        pieces.pop()
+    m = reduce(direct_sum, (DCMatrix(a, b) for a, b in pieces))
+    # a product that is zero only through cancellation has no rank at
+    # relative tolerance: its rounding error is all of its norm
+    assume(np.any(m.a @ m.b) and np.any(m.b @ m.a))
+    return m, draw(st.integers(0, 2**32 - 1)), 10.0 ** draw(st.floats(-100, 100))
+
+
+def _verdicts(m):
+    return rank_quadruple(m), _PairAnalysis(m, 1e-9).ab_similar_ba(), jsvd_necessary(m)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(prescribed_pairs())
+def test_verdicts_invariant_under_scaling_and_gauge(case):
+    m, seed, s = case
+    rng = np.random.default_rng(seed)
+    x, y = _gauge_factor(rng, m.n), _gauge_factor(rng, m.n)
+    gauged = DCMatrix(x @ m.a @ np.linalg.inv(y), y @ m.b @ np.linalg.inv(x))
+    want = _verdicts(m)
+    for k in (gauged, DCMatrix(s * m.a, s * m.b), DCMatrix(s * gauged.a, s * gauged.b)):
+        assert _verdicts(k) == want
 
 
 class TestPolar:
@@ -519,9 +623,10 @@ class TestPairAnalysedOnce:
         return counts
 
     def test_dense_trial(self, counts):
+        # the verdicts come from kernel staircases; only BA's form is built
         record = explorer.run_trial(7, "dense", 4)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan_decomposition": 2, "rank": 4}
+        assert counts == {"jordan_decomposition": 1, "rank": 4}
 
     def test_pinv(self, counts):
         m = rank_condition_pair(4, np.random.default_rng(3), r=2)
