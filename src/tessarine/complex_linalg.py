@@ -108,8 +108,6 @@ def _kernel_staircase(x: np.ndarray, tol: float) -> list[int]:
         if out and n - r <= out[-1]:
             return out
         out.append(n - r)
-        if r in (0, n):
-            return out
         kernel = vh[r:].conj().T
 
 

@@ -209,11 +209,7 @@ def _sizes_admit_sqrt(sizes: list[int]) -> bool:
     return True
 
 
-def jsvd_necessary(
-    m: DCMatrix,
-    tol: float = DEFAULT_TOL,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-) -> tuple[bool, bool, bool]:
+def jsvd_necessary(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, bool, bool]:
     """The three necessary conditions for a Jordan SVD of [A, B].
 
     1. rank(A) = rank(B); 2. AB has a square root; 3. BA has a square
@@ -221,7 +217,7 @@ def jsvd_necessary(
     their sizes are read off the kernel staircase of each product, so no
     Jordan form is computed.
     """
-    return _PairAnalysis(m, tol, cluster_gap).necessary()
+    return _PairAnalysis(m, tol).necessary()
 
 
 # ---------------------------------------------------------------------------

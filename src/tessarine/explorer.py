@@ -44,13 +44,13 @@ class TrialRecord:
     seed: int
     n: int
     construction_profile: str
-    similar_ab_ba: bool | None
+    similar_ab_ba: bool
     jsvd_status: str
     pinv_exists: bool
     j_blocks: list | None
     residual: float | None
     consistent: bool
-    error: str | None = None
+    error: str | None = None  # kept in the record format; always None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -189,8 +189,8 @@ def run_trial(
     residual = jsvd.residual if jsvd is not None else None
 
     consistent = not (
-        (status is JsvdStatus.EXISTS and sim is False)
-        or (status is JsvdStatus.NOT_EXISTS and sim is True)
+        (status is JsvdStatus.EXISTS and not sim)
+        or (status is JsvdStatus.NOT_EXISTS and sim)
     )
     return TrialRecord(
         seed=seed,
@@ -228,8 +228,9 @@ def conjecture_scan(
     """Scan random pairs for the existence conjecture.
 
     Each trial records whether AB is similar to BA next to the JSVD
-    status.  Per-trial errors are recorded, never aborting the scan;
-    ``sink``, if given, is called with each record as it is produced.
+    status; similarity is always decided, so the summary's ``errors``
+    count stays 0.  ``sink``, if given, is called with each record as it
+    is produced.
     Bad arguments raise ``BadProfile`` before the first trial.
     """
     _check_scan_args(profiles, n_max)
@@ -246,12 +247,7 @@ def conjecture_scan(
         if sink is not None:
             sink(rec)
         summary.trials += 1
-        if rec.error is not None or rec.similar_ab_ba is None:
-            summary.errors += 1
-        sim_label = {True: "similar", False: "not_similar", None: "ambiguous"}[
-            rec.similar_ab_ba
-        ]
-        key = (sim_label, rec.jsvd_status)
+        key = ("similar" if rec.similar_ab_ba else "not_similar", rec.jsvd_status)
         summary.cells[key] = summary.cells.get(key, 0) + 1
         if rec.jsvd_status == JsvdStatus.UNKNOWN.value:
             summary.unknown_cells += 1

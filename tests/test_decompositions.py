@@ -414,6 +414,21 @@ def test_verdicts_invariant_under_scaling_and_gauge(case):
         assert _verdicts(k) == want
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="AB is zero only through cancellation after the gauge; ranked "
+    "relative to its own norm, its rounding error reads as rank 2",
+)
+def test_gauged_zero_product_keeps_its_rank():
+    # the pair the invariance property excludes by assume
+    m = DCMatrix(np.diag([0.0, 1.0]), _shift(2))
+    rng = np.random.default_rng(0)
+    x, y = _gauge_factor(rng, 2), _gauge_factor(rng, 2)
+    gauged = DCMatrix(x @ m.a @ np.linalg.inv(y), y @ m.b @ np.linalg.inv(x))
+    assert _verdicts(m) == ((1, 1, 0, 1), False, (True, True, False))
+    assert _verdicts(gauged) == _verdicts(m)
+
+
 class TestPolar:
     def test_unitary_input(self):
         rng = np.random.default_rng(15)
