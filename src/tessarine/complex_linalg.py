@@ -10,10 +10,10 @@ The Jordan machinery is deliberately scoped: eigenvalues are clustered
 at a caller-adjustable gap, clusters must be well separated, and every
 result is verified by reconstruction.  One rule per cluster: a simple
 eigenvalue's chain is its unit eigenvector from ``numpy.linalg.eig``;
-only a repeated cluster gets a sorted Schur reordering (scipy) and a
-nullity staircase for its chains.  When the eigenvalue geometry cannot
-be resolved reliably the functions raise ``ClusterAmbiguity`` rather
-than guessing.
+a repeated cluster's chains come from the kernel staircase of
+``a - lam I``, the same staircase that decides AB ~ BA.  Only numpy is
+needed.  When the eigenvalue geometry cannot be resolved reliably the
+functions raise ``ClusterAmbiguity`` rather than guessing.
 """
 
 from __future__ import annotations
@@ -89,26 +89,32 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def _kernel_staircase(x: np.ndarray, tol: float) -> list[int]:
-    """dim ker x^k for k = 1, 2, ... while it grows.
+def _kernel_staircase(
+    x: np.ndarray, tol: float, floor: float = 0.0, stop: int | None = None
+) -> list[np.ndarray]:
+    """Orthonormal bases of ker x^k for k = 1, 2, ... while it grows.
 
     ker x^k is the kernel of x projected off ker x^(k-1), so no power of
-    x is formed.  A singular value counts as zero when it is at most tol
-    times the 2-norm of x, at every step; the first entry is therefore
-    n - ``rank(x, tol)``.
+    x is formed.  A singular value counts as zero when it is at most
+    max(tol * ||x||_2, floor), at every step; with floor 0 the first
+    basis therefore has n - ``rank(x, tol)`` columns.  The staircase
+    also stops once a kernel reaches ``stop`` (default n) dimensions.
     """
     n = x.shape[0]
+    stop = n if stop is None else stop
     kernel = np.zeros((n, 0), dtype=complex)
-    out: list[int] = []
+    bases: list[np.ndarray] = []
     while True:
         _, s, vh = np.linalg.svd(x - kernel @ (kernel.conj().T @ x))
-        if not out:
-            threshold = tol * s[0]
+        if not bases:
+            threshold = max(tol * s[0], floor)
         r = int(np.count_nonzero(s > threshold))
-        if out and n - r <= out[-1]:
-            return out
-        out.append(n - r)
+        if bases and n - r <= kernel.shape[1]:
+            return bases
         kernel = vh[r:].conj().T
+        bases.append(kernel)
+        if n - r >= stop:
+            return bases
 
 
 def _image_and_kernel(a, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -179,60 +185,29 @@ def _check_separation(eigs: np.ndarray, clusters: list[list[int]], gap: float):
 
 def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span (SVD-based)."""
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     r = int(np.count_nonzero(s > keep_tol * s[0])) if s[0] > 0 else 0
     return u[:, :r]
 
 
-def _nullity_sequence(
-    e: np.ndarray, spread: float, scale: float
-) -> tuple[list[int], list[np.ndarray]]:
-    """Nullities of e^k for k = 1.. until they reach dim(e), plus null bases.
+def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
+    """Jordan chains of e = a - lam I at a cluster of ``mult`` eigenvalues.
 
-    Thresholds are scaled for powers: spurious singular values of e^k grow
-    like k * spread * ||e||^(k-1), where spread is the in-cluster eigenvalue
-    diameter; genuine structure stays near ||e||^k.  ``scale`` is the norm
-    of the parent matrix and floors the noise estimate.
+    ker e^k lies in the cluster's generalized eigenspace, so the kernel
+    staircase of e, with singular values up to ``zero`` counted as zero,
+    must stop at exactly ``mult`` dimensions.  Returns one n x size array
+    per chain, columns ordered eigenvector first, so that e maps column
+    i+1 to column i.
     """
-    m = e.shape[0]
-    opn = float(np.linalg.norm(e, 2)) if e.size else 0.0
-    noise = max(spread, 1e-12 * scale)
-    if opn <= noise:
-        return [m], [np.eye(m, dtype=complex)]
-    nullities: list[int] = []
-    bases: list[np.ndarray] = []
-    power = np.eye(m, dtype=complex)
-    for k in range(1, m + 1):
-        power = power @ e
-        th = SEPARATION_FACTOR * k * noise * opn ** (k - 1)
-        _, s, vh = np.linalg.svd(power)
-        d = int(np.count_nonzero(s <= th))
-        nullities.append(d)
-        bases.append(vh[m - d :].conj().T.copy())
-        if d == m:
-            break
-    if nullities[-1] != m:
+    bases = _kernel_staircase(e, 0.0, zero, stop=mult)
+    if bases[-1].shape[1] != mult:
         raise ClusterAmbiguity(
-            "generalized eigenspace did not fill its algebraic multiplicity; "
-            "eigenvalue structure unresolved at this cluster_gap"
+            f"generalized eigenspace of dimension {bases[-1].shape[1]} for a "
+            f"cluster of {mult} eigenvalues; eigenvalue structure unresolved "
+            "at this cluster_gap"
         )
-    if any(nullities[i + 1] < nullities[i] for i in range(len(nullities) - 1)):
-        raise ClusterAmbiguity("non-monotone nullity sequence")
-    return nullities, bases
-
-
-def _cluster_chains(e: np.ndarray, spread: float, scale: float) -> list[np.ndarray]:
-    """Jordan chains of a (near-)nilpotent restricted matrix.
-
-    Returns one n x size array per chain, columns ordered eigenvector
-    first, so that e maps column i+1 to column i.
-    """
-    m = e.shape[0]
-    nullities, bases = _nullity_sequence(e, spread, scale)
-    s = len(nullities)
-    d = [0] + nullities  # d[k] = nullity(e^k)
+    s = len(bases)
+    d = [0] + [basis.shape[1] for basis in bases]  # d[k] = nullity(e^k)
     # blocks of size >= k
     r = [d[k] - d[k - 1] for k in range(1, s + 1)] + [0]
     if any(r[i + 1] > r[i] for i in range(s)):
@@ -258,19 +233,24 @@ def _cluster_chains(e: np.ndarray, spread: float, scale: float) -> list[np.ndarr
                 generators.append((u[:, i].copy(), k))
                 active.append(u[:, i])
         if k > 1:
-            active = [e @ w for w in active]
+            # only their span matters: max-modulus 1 keeps it finite at any scale
+            active = [v / max_abs(v) for v in (e @ w for w in active)]
 
     chains = []
     for g, height in sorted(generators, key=lambda t: -t[1]):
         members = [g]
-        for _ in range(height - 1):
-            members.append(e @ members[-1])
-        members.reverse()  # eigenvector first
-        chain = np.column_stack(members)
-        lead, tail = np.linalg.norm(chain[:, 0]), np.linalg.norm(chain[:, -1])
-        if lead == 0:
-            raise ClusterAmbiguity("degenerate Jordan chain")
-        chain /= np.sqrt(lead * tail)
+        # a long chain at a large scale can overflow; it is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(height - 1):
+                members.append(e @ members[-1])
+            members.reverse()  # eigenvector first
+            chain = np.column_stack(members)
+            norm2 = np.linalg.norm(chain[:, 0]) * np.linalg.norm(chain[:, -1])
+        if not 0 < norm2 < math.inf:
+            raise ClusterAmbiguity(
+                f"degenerate Jordan chain (norm product {norm2:.3e})"
+            )
+        chain /= np.sqrt(norm2)
         chains.append(chain)
     return chains
 
@@ -309,19 +289,15 @@ def _block_spans(blocks: Blocks):
         pos += size
 
 
-def jordan_decomposition(
-    a,
-    tol: float = DEFAULT_TOL,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-) -> JordanForm:
+def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> JordanForm:
     """Dense Jordan decomposition for desk-scale matrices.
 
     Eigenvalues within ``cluster_gap * max_abs(a)`` of each other are
     treated as equal (single linkage); distinct clusters must then be
     separated by at least ``SEPARATION_FACTOR`` times that gap, otherwise
     ``ClusterAmbiguity`` is raised and the caller should adjust the gap.
-    A simple eigenvalue contributes its unit eigenvector; only a repeated
-    cluster is Schur-reordered and split into chains by its nullities.
+    A simple eigenvalue contributes its unit eigenvector; a repeated
+    cluster is split into chains by the kernel staircase of a - lam I.
     The result is verified by reconstruction.
     """
     a = _as_square(a)
@@ -346,43 +322,26 @@ def jordan_decomposition(
     max_spread = 0.0
     blocks: list[tuple[complex, int]] = []
     columns: list[np.ndarray] = []
-    for c, idx in enumerate(clusters):
-        lam = means[c]
+    for idx, lam in zip(clusters, means):
         if len(idx) == 1:
             # a simple eigenvalue: its chain is its unit eigenvector
             v = vecs[:, idx[0]]
             columns.append((v / np.linalg.norm(v))[:, None])
             blocks.append((lam, 1))
             continue
-        if len(idx) == n:
-            q1 = np.eye(n, dtype=complex)
-        else:
-            # the only use of scipy: loaded here so that imports and
-            # inputs without a repeated eigenvalue never pay for it
-            from scipy.linalg import schur
-
-            target = np.array(means)
-            _, z_, sdim = schur(
-                a,
-                output="complex",
-                sort=lambda x: int(np.argmin(np.abs(target - x))) == c,
-            )
-            if sdim != len(idx):
-                raise ClusterAmbiguity(
-                    f"Schur reordering selected {sdim} eigenvalues for a "
-                    f"cluster of size {len(idx)}"
-                )
-            q1 = z_[:, :sdim]
-        e = q1.conj().T @ a @ q1 - lam * np.eye(len(idx))
         spread = float(max(abs(eigs[i] - lam) for i in idx))
         max_spread = max(max_spread, spread)
-        for chain in _cluster_chains(e, spread, scale):
-            columns.append(q1 @ chain)
+        zero = SEPARATION_FACTOR * max(spread, 1e-12 * scale)
+        for chain in _cluster_chains(a - lam * np.eye(n), len(idx), zero):
+            columns.append(chain)
             blocks.append((lam, chain.shape[1]))
     blocks, p = _canonical_order(blocks, columns)
 
     j = jordan_matrix(tuple(blocks))
-    residual = max_abs(p @ j @ np.linalg.inv(p) - a)
+    try:
+        residual = max_abs(p @ j @ np.linalg.inv(p) - a)
+    except np.linalg.LinAlgError:
+        raise ClusterAmbiguity("Jordan chain basis is singular") from None
     # merging eigenvalues within the gap concedes errors up to the spread
     allowance = JORDAN_RECON_TOL * scale + SEPARATION_FACTOR * max_spread
     if residual > allowance:
@@ -431,9 +390,7 @@ def _chain_basis_for_block(s_block: np.ndarray, mu: complex) -> np.ndarray:
 
 
 def sqrt_jordan_factors(
-    a,
-    tol: float = DEFAULT_TOL,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
+    a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP
 ) -> tuple[np.ndarray, JordanForm]:
     """Half-plane primary square root along with its own Jordan form.
 
@@ -443,7 +400,7 @@ def sqrt_jordan_factors(
     input's, so only one eigenvalue clustering is ever performed.
     """
     a = _as_square(a)
-    jf = jordan_decomposition(a, tol=tol, cluster_gap=cluster_gap)
+    jf = jordan_decomposition(a, cluster_gap=cluster_gap)
     scale = max_abs(a)
     zero_tol = cluster_gap * scale
 
@@ -485,13 +442,9 @@ def sqrt_jordan_factors(
     return root, root_jf
 
 
-def sqrt_via_jordan(
-    a,
-    tol: float = DEFAULT_TOL,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-) -> np.ndarray:
+def sqrt_via_jordan(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> np.ndarray:
     """Primary half-plane square root of a matrix via its Jordan form."""
-    root, _ = sqrt_jordan_factors(a, tol=tol, cluster_gap=cluster_gap)
+    root, _ = sqrt_jordan_factors(a, cluster_gap=cluster_gap)
     return root
 
 
@@ -520,12 +473,7 @@ def _group_blocks(blocks: Blocks) -> list[tuple[complex, tuple[int, ...]]]:
     return [(lam, tuple(sorted(sizes, reverse=True))) for lam, sizes in groups]
 
 
-def similar(
-    a,
-    b,
-    tol: float = DEFAULT_TOL,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-) -> bool:
+def similar(a, b, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> bool:
     """Do a and b share a canonical Jordan structure?
 
     Eigenvalues are matched across the two matrices at the clustering
@@ -535,8 +483,8 @@ def similar(
     b = _as_square(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    fa = jordan_decomposition(a, tol=tol, cluster_gap=cluster_gap)
-    fb = jordan_decomposition(b, tol=tol, cluster_gap=cluster_gap)
+    fa = jordan_decomposition(a, cluster_gap=cluster_gap)
+    fb = jordan_decomposition(b, cluster_gap=cluster_gap)
     match_tol = cluster_gap * max(max_abs(a), max_abs(b), 1e-300)
     return _same_structure(fa.blocks, fb.blocks, match_tol)
 

@@ -144,9 +144,10 @@ class _PairAnalysis:
         key = self._source[product]
         if key not in self._nullities:
             n, r = self.m.n, self.ranks[2 if key == "ab" else 3]
+            x = self.products[key]
             self._nullities[key] = (
                 [n - r] if r in (0, n)
-                else _kernel_staircase(self.products[key], self.tol)
+                else [basis.shape[1] for basis in _kernel_staircase(x, self.tol)]
             )
         return self._nullities[key]
 
@@ -344,7 +345,7 @@ def _jordan_svd(
     m = pa.m
     if rng is None:
         rng = np.random.default_rng(0)
-    _, root_jf = sqrt_jordan_factors(pa.products["ba"], pa.tol, pa.cluster_gap)
+    _, root_jf = sqrt_jordan_factors(pa.products["ba"], cluster_gap=pa.cluster_gap)
     p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
     v = DCMatrix(p, np.linalg.inv(p))
     s = DCMatrix(j, j)
@@ -392,7 +393,7 @@ def _jordan_svd(
 
 
 def _halfplane_normalized_factors(
-    h: np.ndarray, tol: float, cluster_gap: float
+    h: np.ndarray, cluster_gap: float
 ) -> tuple[Blocks, np.ndarray, np.ndarray]:
     """Factor a complex matrix h as h = W Jt Z^-1 with [h,h] = [W,W^-1][Jt,Jt][Z,Z^-1]*.
 
@@ -401,7 +402,7 @@ def _halfplane_normalized_factors(
     absorbed by the unitary [E,E] (E = +/-1 per block) together with the
     alternating-sign similarity that restores unit superdiagonals.
     """
-    jf = jordan_decomposition(h, tol=tol, cluster_gap=cluster_gap)
+    jf = jordan_decomposition(h, cluster_gap=cluster_gap)
     axis_tol = cluster_gap * max(max_abs(h), 1e-300)
     entries = []  # (block, w_cols, z_cols)
     for lam, span in _block_spans(jf.blocks):
@@ -433,7 +434,7 @@ def polar_to_jsvd(
     if not hf.is_hermitian(tol * max(1.0, scale)):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
-    blocks, w, z = _halfplane_normalized_factors(h, tol, cluster_gap)
+    blocks, w, z = _halfplane_normalized_factors(h, cluster_gap)
     jt = jordan_matrix(blocks)
     u = pd.unitary_factor @ DCMatrix(w, np.linalg.inv(w))
     s = DCMatrix(jt, jt)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tessarine.cli import main
+from tessarine.complex_linalg import jordan_matrix
 from tessarine.dcmatrix import DCMatrix
 from tessarine.decompositions import pinv
 from tessarine.pairfile import (
@@ -38,6 +39,16 @@ def invertible_file(tmp_path, seed=0, n=3):
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
     )
     return str(path), m
+
+
+def long_chains_at_1e150_file(tmp_path):
+    """[I, 1e150 P J P^-1] with J = J_3(2) + J_2(2) + J_1(2) + J_2(5i)."""
+    j = jordan_matrix(((2 + 0j, 3), (2 + 0j, 2), (2 + 0j, 1), (5j, 2)))
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    path = tmp_path / "chains.json"
+    write_pair(path, np.eye(8), 1e150 * (p @ j @ np.linalg.inv(p)))
+    return str(path)
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +189,19 @@ class TestJsvdCommand:
         code, doc = run_cli(capsys, "jsvd", str(path))
         assert code == 4
         assert doc["jsvd_status"] == "unknown"
+
+
+@pytest.mark.parametrize(
+    "command,want_code,key",
+    [("check", 0, "reason"), ("jsvd", 4, "error"), ("pinv", 4, "error")],
+)
+def test_overflowing_jordan_chains_keep_the_exit_contract(
+    tmp_path, capsys, command, want_code, key
+):
+    # the Jordan chains of BA overflow at this scale: a refusal, not a traceback
+    code, doc = run_cli(capsys, command, long_chains_at_1e150_file(tmp_path))
+    assert code == want_code
+    assert doc[key].startswith("ClusterAmbiguity: ")
 
 
 class TestSvdCommand:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tessarine.complex_linalg import (
     JORDAN_RECON_TOL,
@@ -90,6 +90,9 @@ class TestJordan:
             ((0j, 1), (1 + 1j, 2)),
             ((1 + 0j, 2), (1 + 0j, 1), (-1 + 0j, 1)),
             ((0j, 2), (3 + 0j, 2)),
+            # one repeated cluster among simple eigenvalues, and none
+            ((-1 + 0j, 1), (2 + 0j, 2), (3j, 1), (5 + 0j, 1)),
+            ((-1 + 0j, 1), (2 + 0j, 1), (3j, 1), (5 + 0j, 1)),
         ]
         for blocks in structures:
             j = jordan_matrix(blocks)
@@ -137,43 +140,6 @@ class TestJordan:
         assert sorted(s for _, s in jf.blocks) == [1, 1, 1]
 
 
-class TestSchurOnlyForRepeatedClusters:
-    """Simple eigenvalues take their eig vectors; only repeated ones reach schur."""
-
-    def decompose_counting_schur(self, monkeypatch, blocks, seed):
-        import scipy.linalg
-
-        calls = []
-        real_schur = scipy.linalg.schur
-
-        def counting_schur(*args, **kwargs):
-            calls.append(1)
-            return real_schur(*args, **kwargs)
-
-        # the lazy ``from scipy.linalg import schur`` reads this attribute
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        j = jordan_matrix(blocks)
-        p = crand(np.random.default_rng(seed), j.shape[0], j.shape[0])
-        a = p @ j @ np.linalg.inv(p)
-        jf = jordan_decomposition(a)
-        recon = jf.p @ jf.j @ np.linalg.inv(jf.p)
-        assert np.abs(recon - a).max() <= 1e-6 * np.abs(a).max()
-        got = [(round(l.real, 6), round(l.imag, 6), s) for l, s in jf.blocks]
-        return got, len(calls)
-
-    def test_one_schur_for_one_repeated_cluster(self, monkeypatch):
-        blocks = ((-1 + 0j, 1), (2 + 0j, 2), (3j, 1), (5 + 0j, 1))
-        got, calls = self.decompose_counting_schur(monkeypatch, blocks, 9)
-        assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 2), (5.0, 0.0, 1)]
-        assert calls == 1
-
-    def test_distinct_eigenvalues_never_call_schur(self, monkeypatch):
-        blocks = ((-1 + 0j, 1), (2 + 0j, 1), (3j, 1), (5 + 0j, 1))
-        got, calls = self.decompose_counting_schur(monkeypatch, blocks, 10)
-        assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 1), (5.0, 0.0, 1)]
-        assert calls == 0
-
-
 # eigenvalues one apart: far outside the SEPARATION_FACTOR * gap band below
 EIGENVALUE_GRID = [complex(re, im) for re in range(-2, 3) for im in range(-2, 3)]
 MIXED_GAP = 1e-4
@@ -190,8 +156,15 @@ def mixed_spectra(draw):
     return blocks, draw(st.integers(0, 2**32 - 1)), s
 
 
+# a Jordan block next to a semisimple double eigenvalue, at extreme scales
+J2_I_SEMISIMPLE_2 = ((1j, 2), (2 + 0j, 1), (2 + 0j, 1))
+
+
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(mixed_spectra())
+@example((J2_I_SEMISIMPLE_2, 0, 1e-150))
+@example((J2_I_SEMISIMPLE_2, 0, 1.0))
+@example((J2_I_SEMISIMPLE_2, 0, 1e150))
 def test_mixed_spectra_recovered_at_any_scale(case):
     blocks, seed, s = case
     rng = np.random.default_rng(seed)
@@ -349,7 +322,7 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 
 
 class TestLazyScipy:
-    """scipy is loaded only by the clustered Jordan path."""
+    """scipy is never loaded: the package runs on numpy alone."""
 
     def test_import_leaves_scipy_unloaded(self):
         out = run_fresh(
@@ -361,25 +334,30 @@ class TestLazyScipy:
         )
         assert out.returncode == 0, out.stderr
 
-    def test_clustered_branch_loads_schur(self):
-        # a 2x2 Jordan block next to a distinct eigenvalue: the cluster of
-        # size 2 < n needs the Schur reordering
+    def test_clustered_jordan_and_jsvd_leave_scipy_unloaded(self, tmp_path):
+        # a 2x2 Jordan block next to a distinct eigenvalue: a repeated
+        # cluster smaller than n, then a clustered pair through the CLI
+        pair = str(tmp_path / "pair.json")
         out = run_fresh(
-            """
+            f"""
             import sys
             import numpy as np
+            from tessarine.cli import main
             from tessarine.complex_linalg import jordan_decomposition, jordan_matrix
+            from tessarine.dcmatrix import DCMatrix
+            from tessarine.pairfile import save_pair
 
             j = jordan_matrix(((2 + 0j, 2), (5 + 0j, 1)))
             p = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 1]], dtype=complex)
             a = p @ j @ np.linalg.inv(p)
-            assert "scipy" not in sys.modules
             jf = jordan_decomposition(a)
             got = [(round(l.real, 6), round(l.imag, 6), s) for l, s in jf.blocks]
             assert got == [(2.0, 0.0, 2), (5.0, 0.0, 1)], got
             recon = jf.p @ jf.j @ np.linalg.inv(jf.p)
             assert np.abs(recon - a).max() <= 1e-6 * np.abs(a).max()
-            assert "scipy.linalg" in sys.modules
+            save_pair({pair!r}, DCMatrix(np.eye(3), a))
+            assert main(["jsvd", {pair!r}]) == 0
+            assert "scipy" not in sys.modules, "scipy imported"
             """
         )
         assert out.returncode == 0, out.stderr

@@ -29,11 +29,13 @@ from tessarine.decompositions import (
     _PairAnalysis,
 )
 from tessarine.errors import (
+    ClusterAmbiguity,
     NonFiniteInput,
     NoPseudoinverse,
     NotDiagonalizable,
     PreconditionFailed,
     SingularComponent,
+    TessarineError,
 )
 from tessarine.explorer import rank_condition_pair, uniqueness_scan
 
@@ -617,6 +619,35 @@ class TestNonFiniteInput:
             assert np.isfinite(a @ b).all() and not np.isfinite(b @ a).all()
         with pytest.raises(NonFiniteInput):
             pinv_exists(DCMatrix(a, b))
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingJordanChains:
+    """At scale 1e150 long Jordan chains overflow: the library refuses, quietly."""
+
+    @staticmethod
+    def pair():
+        j = jordan_matrix(((2 + 0j, 3), (2 + 0j, 2), (2 + 0j, 1), (5j, 2)))
+        p = crand(np.random.default_rng(0), 8)
+        return DCMatrix(np.eye(8), 1e150 * (p @ j @ np.linalg.inv(p)))
+
+    @pytest.mark.parametrize("entry", ["jordan_decomposition", "jordan_svd", "pinv"])
+    def test_raises_inside_the_hierarchy(self, entry):
+        call = TestNonFiniteInput.ENTRY_POINTS[entry]
+        with pytest.raises(TessarineError):
+            call(self.pair())
+
+    def test_attempt_reports_unknown(self):
+        jsvd, report = attempt_jordan_svd(self.pair())
+        assert jsvd is None
+        assert report.jsvd_status is JsvdStatus.UNKNOWN
+        assert report.reason.startswith("ClusterAmbiguity: ")
+
+    def test_four_long_chain(self):
+        j = jordan_matrix(((1 + 0j, 4), (3 + 0j, 1)))
+        p = crand(np.random.default_rng(0), 5)
+        with pytest.raises(ClusterAmbiguity):
+            jordan_decomposition(1e150 * (p @ j @ np.linalg.inv(p)), cluster_gap=1e-4)
 
 
 class TestPairAnalysedOnce:
