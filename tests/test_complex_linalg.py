@@ -90,9 +90,6 @@ class TestJordan:
             ((0j, 1), (1 + 1j, 2)),
             ((1 + 0j, 2), (1 + 0j, 1), (-1 + 0j, 1)),
             ((0j, 2), (3 + 0j, 2)),
-            # one repeated cluster among simple eigenvalues, and none
-            ((-1 + 0j, 1), (2 + 0j, 2), (3j, 1), (5 + 0j, 1)),
-            ((-1 + 0j, 1), (2 + 0j, 1), (3j, 1), (5 + 0j, 1)),
         ]
         for blocks in structures:
             j = jordan_matrix(blocks)
@@ -138,6 +135,43 @@ class TestJordan:
         # a larger gap resolves them into one cluster
         jf = jordan_decomposition(a, cluster_gap=1e-4)
         assert sorted(s for _, s in jf.blocks) == [1, 1, 1]
+
+
+class TestSchurOnlyForRepeatedClusters:
+    """Simple eigenvalues take their eig vectors; only repeated ones reach
+    the kernel-staircase chain builder."""
+
+    def decompose_counting_chains(self, monkeypatch, blocks, seed):
+        import tessarine.complex_linalg as cl
+
+        calls = []
+        real_chains = cl._cluster_chains
+
+        def counting_chains(*args, **kwargs):
+            calls.append(1)
+            return real_chains(*args, **kwargs)
+
+        monkeypatch.setattr(cl, "_cluster_chains", counting_chains)
+        j = jordan_matrix(blocks)
+        p = crand(np.random.default_rng(seed), j.shape[0], j.shape[0])
+        a = p @ j @ np.linalg.inv(p)
+        jf = jordan_decomposition(a)
+        recon = jf.p @ jf.j @ np.linalg.inv(jf.p)
+        assert np.abs(recon - a).max() <= 1e-6 * np.abs(a).max()
+        got = [(round(l.real, 6), round(l.imag, 6), s) for l, s in jf.blocks]
+        return got, len(calls)
+
+    def test_one_schur_for_one_repeated_cluster(self, monkeypatch):
+        blocks = ((-1 + 0j, 1), (2 + 0j, 2), (3j, 1), (5 + 0j, 1))
+        got, calls = self.decompose_counting_chains(monkeypatch, blocks, 9)
+        assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 2), (5.0, 0.0, 1)]
+        assert calls == 1
+
+    def test_distinct_eigenvalues_never_call_schur(self, monkeypatch):
+        blocks = ((-1 + 0j, 1), (2 + 0j, 1), (3j, 1), (5 + 0j, 1))
+        got, calls = self.decompose_counting_chains(monkeypatch, blocks, 10)
+        assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 1), (5.0, 0.0, 1)]
+        assert calls == 0
 
 
 # eigenvalues one apart: far outside the SEPARATION_FACTOR * gap band below
