@@ -54,8 +54,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="relative eigenvalue clustering gap (default 1e-6)")
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="rng seed (default: $TESSARINE_SEED or 0)")
-    p.add_argument("--max-retries", type=int, default=16,
-                   help="retry bound for the randomized extension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +101,6 @@ def _options(args) -> dict:
         "rng": np.random.default_rng(args.seed),
         "recon_tol": args.recon_tol,
         "cluster_gap": args.cluster_gap,
-        "max_retries": args.max_retries,
     }
 
 
@@ -203,7 +200,7 @@ def cmd_explore(args) -> int:
     profiles = tuple(p.strip() for p in args.profile.split(",") if p.strip())
     try:
         # reject bad arguments before --out is opened (and truncated)
-        _check_scan_args(profiles, args.n)
+        _check_scan_args(args.trials, profiles, args.n)
         with open(args.out, "w", encoding="utf-8") as fh:
             def sink(rec):
                 fh.write(json.dumps(rec.as_dict()))

@@ -83,10 +83,20 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _sv_rank(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def _sv_rank(
+    s: np.ndarray, tol: float, floor: float = 0.0, sigma1: float | None = None
+) -> int:
+    """The zero rule: how many singular values in s are nonzero.
+
+    A singular value is nonzero when it is above max(tol * sigma1, floor),
+    where sigma1 is the norm of the matrix the tolerance is relative to;
+    it defaults to s[0], the largest, as numpy returns s descending.
+    """
+    sigma1 = s[0] if sigma1 is None else sigma1
+    return int(np.count_nonzero(s > max(tol * sigma1, floor)))
 
 
 def _kernel_staircase(
@@ -107,8 +117,8 @@ def _kernel_staircase(
     while True:
         _, s, vh = np.linalg.svd(x - kernel @ (kernel.conj().T @ x))
         if not bases:
-            threshold = max(tol * s[0], floor)
-        r = int(np.count_nonzero(s > threshold))
+            norm = s[0]
+        r = _sv_rank(s, tol, floor, norm)
         if bases and n - r <= kernel.shape[1]:
             return bases
         kernel = vh[r:].conj().T
@@ -117,11 +127,27 @@ def _kernel_staircase(
             return bases
 
 
+def _staircase_sizes(nullities: list[int]) -> list[int]:
+    """Jordan block sizes at eigenvalue 0, largest first, read off the
+    nullities dim ker x^k, k = 1, 2, ... (Golub & Wilkinson 1976).
+
+    dim ker x^k - dim ker x^(k-1) blocks have size k or more.  A profile
+    whose steps grow with k fits no Jordan structure; its sizes then add
+    up to more than the last nullity.
+    """
+    at_least = [b - a for a, b in zip([0, *nullities], nullities)] + [0]
+    return [
+        k + 1
+        for k in reversed(range(len(nullities)))
+        for _ in range(at_least[k] - at_least[k + 1])
+    ]
+
+
 def _image_and_kernel(a, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Orthonormal bases of the image and the right kernel from one SVD."""
     a = _as_square(a)
     u, s, vh = np.linalg.svd(a)
-    r = 0 if s[0] == 0 else int(np.count_nonzero(s > tol * s[0]))
+    r = _sv_rank(s, tol)
     return SubspaceBasis(u[:, :r].copy()), SubspaceBasis(vh[r:].conj().T.copy())
 
 
@@ -186,8 +212,7 @@ def _check_separation(eigs: np.ndarray, clusters: list[list[int]], gap: float):
 def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span (SVD-based)."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    r = int(np.count_nonzero(s > keep_tol * s[0])) if s[0] > 0 else 0
-    return u[:, :r]
+    return u[:, :_sv_rank(s, keep_tol)]
 
 
 def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
@@ -206,17 +231,14 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
             f"cluster of {mult} eigenvalues; eigenvalue structure unresolved "
             "at this cluster_gap"
         )
-    s = len(bases)
-    d = [0] + [basis.shape[1] for basis in bases]  # d[k] = nullity(e^k)
-    # blocks of size >= k
-    r = [d[k] - d[k - 1] for k in range(1, s + 1)] + [0]
-    if any(r[i + 1] > r[i] for i in range(s)):
+    sizes = _staircase_sizes([basis.shape[1] for basis in bases])
+    if sum(sizes) != mult:
         raise ClusterAmbiguity("invalid nullity profile for a Jordan structure")
 
     generators: list[tuple[np.ndarray, int]] = []
     active: list[np.ndarray] = []
-    for k in range(s, 0, -1):
-        need = r[k - 1] - r[k]
+    for k in range(len(bases), 0, -1):
+        need = sizes.count(k)
         if need > 0:
             obstruction = [bases[k - 2]] if k >= 2 else []
             if active:

@@ -66,10 +66,6 @@ class DCMatrix:
     def zeros(cls, n: int) -> "DCMatrix":
         return cls(np.zeros((n, n), complex), np.zeros((n, n), complex))
 
-    @classmethod
-    def from_scalar(cls, x: DoubleComplex) -> "DCMatrix":
-        return cls(np.array([[x.p]]), np.array([[x.q]]))
-
     # -- algebra -------------------------------------------------------------
 
     def _check_same_n(self, other: "DCMatrix"):

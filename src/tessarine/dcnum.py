@@ -62,9 +62,6 @@ class DoubleComplex:
             raise ZeroDivisor(f"{self!r} has a vanishing idempotent component")
         return DoubleComplex(1 / self.p, 1 / self.q)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return abs(self.p) <= tol and abs(self.q) <= tol
-
     def is_zero_divisor(self, tol: float = 0.0) -> bool:
         """Exactly one idempotent component vanishes (and the value is nonzero)."""
         return (abs(self.p) <= tol) != (abs(self.q) <= tol)

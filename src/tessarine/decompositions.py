@@ -31,6 +31,8 @@ from .complex_linalg import (
     _canonical_order,
     _image_and_kernel,
     _kernel_staircase,
+    _staircase_sizes,
+    _sv_rank,
 )
 from .errors import (
     DimensionMismatch,
@@ -124,8 +126,7 @@ class _PairAnalysis:
     def __init__(
         self, m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
     ):
-        self.scale = m.norm_inf()
-        if not math.isfinite(self.scale):
+        if not math.isfinite(m.norm_inf()):
             raise NonFiniteInput("matrix pair has a non-finite entry")
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
         with np.errstate(over="ignore", invalid="ignore"):
@@ -159,10 +160,33 @@ class _PairAnalysis:
     def necessary(self) -> tuple[bool, bool, bool]:
         """The three necessary conditions of ``jsvd_necessary``."""
         roots = [
-            _sizes_admit_sqrt(_nilpotent_sizes(self.nullities(product)))
+            _sizes_admit_sqrt(_staircase_sizes(self.nullities(product)))
             for product in self.products
         ]
         return (self.ranks[0] == self.ranks[1], *roots)
+
+
+# ---------------------------------------------------------------------------
+# Acceptance gates
+# ---------------------------------------------------------------------------
+
+
+def _verified_residual(
+    what: str, approx: DCMatrix, target: DCMatrix, recon_tol: float
+) -> float:
+    """max-modulus residual of approx against target, or ``VerificationFailed``
+    when it exceeds recon_tol relative to the scale of target."""
+    residual = (approx - target).norm_inf()
+    if residual > recon_tol * max(target.norm_inf(), 1e-300):
+        raise VerificationFailed(
+            f"{what} residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
+        )
+    return residual
+
+
+def _is_hermitian(m: DCMatrix, tol: float) -> bool:
+    """Is m of the form [A, A], up to tol relative to its scale (at least 1)?"""
+    return m.is_hermitian(tol * max(1.0, m.norm_inf()))
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +204,12 @@ def pinv_exists(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int,
     return pa.pinv_exists, pa.ranks
 
 
-def _nilpotent_sizes(nullities: list[int]) -> list[int]:
-    """Jordan block sizes at eigenvalue 0 read off dim ker x^k, k = 1, 2, ...
-
-    dim ker x^k - dim ker x^(k-1) blocks have size k or more.
-    """
-    at_least = [b - a for a, b in zip([0, *nullities], nullities)] + [0]
-    return [
-        k + 1
-        for k in range(len(nullities))
-        for _ in range(at_least[k] - at_least[k + 1])
-    ]
-
-
 def _sizes_admit_sqrt(sizes: list[int]) -> bool:
     """Classical pairing criterion on nilpotent Jordan block sizes.
 
-    Sorted descending, consecutive pairs may differ by at most one and a
-    final unpaired block must have size 1.
+    With the sizes largest first, consecutive pairs may differ by at most
+    one and a final unpaired block must have size 1.
     """
-    sizes = sorted(sizes, reverse=True)
     i = 0
     while i + 1 < len(sizes):
         if sizes[i] - sizes[i + 1] > 1:
@@ -266,8 +276,7 @@ def naive_dc_svd(
     invertible, otherwise ``SingularComponent`` is raised.
     """
     n = m.n
-    scale = m.norm_inf()
-    if not math.isfinite(scale):
+    if not math.isfinite(m.norm_inf()):
         raise NonFiniteInput("matrix pair has a non-finite entry")
     if rank(m.a, tol) < n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
@@ -277,7 +286,7 @@ def naive_dc_svd(
         raise NonFiniteInput("AB has a non-finite entry (overflow)")
     lam, pvec = np.linalg.eig(ab)
     sv = np.linalg.svd(pvec, compute_uv=False)
-    if sv[-1] <= DIAGONALIZABLE_RTOL * sv[0]:
+    if _sv_rank(sv, DIAGONALIZABLE_RTOL) < n:
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
     d = np.array([halfplane_sqrt(x) for x in lam])
     if np.min(np.abs(d)) <= np.sqrt(tol) * max(np.max(np.abs(d)), 1e-300):
@@ -286,11 +295,7 @@ def naive_dc_svd(
     u = DCMatrix(pvec, np.linalg.inv(pvec))
     s = DCMatrix(np.diag(d), np.diag(d))
     v = DCMatrix(q, np.linalg.inv(q))
-    residual = (u @ s @ v.star() - m).norm_inf()
-    if residual > recon_tol * max(scale, 1e-300):
-        raise VerificationFailed(
-            f"naive SVD residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
-        )
+    _verified_residual("naive SVD", u @ s @ v.star(), m, recon_tol)
     return u, s, v
 
 
@@ -319,7 +324,6 @@ def jordan_svd(
     *,
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
-    max_retries: int = 16,
 ) -> JordanSVD:
     """Jordan SVD through the constructive existence proof.
 
@@ -333,14 +337,12 @@ def jordan_svd(
     pa = _PairAnalysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise PreconditionFailed(
-            f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}", report=pa.ranks
+            f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    return _jordan_svd(pa, rng, recon_tol, max_retries)
+    return _jordan_svd(pa, rng, recon_tol)
 
 
-def _jordan_svd(
-    pa: _PairAnalysis, rng, recon_tol: float, max_retries: int
-) -> JordanSVD:
+def _jordan_svd(pa: _PairAnalysis, rng, recon_tol: float) -> JordanSVD:
     """``jordan_svd`` of a pair known to meet the rank condition."""
     m = pa.m
     if rng is None:
@@ -370,7 +372,7 @@ def _jordan_svd(
 
     keep = [columns[k] for k in range(m.n) if k not in detected]
     if detected:
-        basis = extend_orthonormal(keep, m.n, rng, max_retries=max_retries)
+        basis = extend_orthonormal(keep, m.n, rng)
         fresh = iter(basis[len(keep) :])
         final = [
             next(fresh) if k in detected else columns[k] for k in range(m.n)
@@ -378,12 +380,7 @@ def _jordan_svd(
     else:
         final = columns
     u = assemble_columns(final)
-
-    residual = (u @ s @ v.star() - m).norm_inf()
-    if residual > recon_tol * max(pa.scale, 1e-300):
-        raise VerificationFailed(
-            f"Jordan SVD residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
-        )
+    residual = _verified_residual("Jordan SVD", u @ s @ v.star(), m, recon_tol)
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 
 
@@ -430,8 +427,7 @@ def polar_to_jsvd(
     J into the half-plane.
     """
     hf = pd.hermitian_factor
-    scale = max(hf.norm_inf(), 1e-300)
-    if not hf.is_hermitian(tol * max(1.0, scale)):
+    if not _is_hermitian(hf, tol):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
     blocks, w, z = _halfplane_normalized_factors(h, cluster_gap)
@@ -439,12 +435,9 @@ def polar_to_jsvd(
     u = pd.unitary_factor @ DCMatrix(w, np.linalg.inv(w))
     s = DCMatrix(jt, jt)
     v = DCMatrix(z, np.linalg.inv(z))
-    target = pd.reconstruct()
-    residual = (u @ s @ v.star() - target).norm_inf()
-    if residual > recon_tol * max(target.norm_inf(), 1e-300):
-        raise VerificationFailed(
-            f"polar-to-JSVD residual {residual:.3e} exceeds tolerance"
-        )
+    residual = _verified_residual(
+        "polar-to-JSVD", u @ s @ v.star(), pd.reconstruct(), recon_tol
+    )
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 
 
@@ -461,7 +454,7 @@ def hermitian_jsvd(
     certifies existence for Hermitian matrices (for example nilpotent
     [J, J]) that have no pseudoinverse.
     """
-    if not m.is_hermitian(tol * max(1.0, m.norm_inf())):
+    if not _is_hermitian(m, tol):
         raise PreconditionFailed("matrix is not Hermitian")
     pd = PolarDecomposition(DCMatrix.identity(m.n), m)
     return polar_to_jsvd(pd, tol, recon_tol=recon_tol, cluster_gap=cluster_gap)
@@ -482,27 +475,15 @@ def polar(
     *,
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
-    max_retries: int = 16,
 ) -> PolarDecomposition:
     """Polar decomposition m = U P obtained from the Jordan SVD.
 
     Exists exactly when the Jordan SVD construction succeeds; errors
     from ``jordan_svd`` propagate unchanged.
     """
-    jsvd = jordan_svd(
-        m,
-        tol,
-        rng,
-        recon_tol=recon_tol,
-        cluster_gap=cluster_gap,
-        max_retries=max_retries,
-    )
+    jsvd = jordan_svd(m, tol, rng, recon_tol=recon_tol, cluster_gap=cluster_gap)
     pd = jsvd_to_polar(jsvd)
-    residual = (pd.reconstruct() - m).norm_inf()
-    if residual > recon_tol * max(m.norm_inf(), 1e-300):
-        raise VerificationFailed(
-            f"polar residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
-        )
+    _verified_residual("polar", pd.reconstruct(), m, recon_tol)
     return pd
 
 
@@ -518,7 +499,6 @@ def pinv(
     *,
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
-    max_retries: int = 16,
 ) -> DCMatrix:
     """Moore-Penrose pseudoinverse via the Jordan SVD: V [J+, J+] U*."""
     pa = _PairAnalysis(m, tol, cluster_gap)
@@ -526,7 +506,7 @@ def pinv(
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd = _jordan_svd(pa, rng, recon_tol, max_retries)
+    jsvd = _jordan_svd(pa, rng, recon_tol)
     j_pinv = _jordan_pinv(jsvd.s.a, jsvd.blocks)
     k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
     axioms = penrose_check(m, k, recon_tol)
@@ -571,7 +551,7 @@ def _reverse_diagram(
     if stack.shape[1] != n:
         raise NoPseudoinverse(f"direct sum {name} has wrong dimension")
     sv = np.linalg.svd(stack, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= max(tol * sv[0], 1e-300):
+    if _sv_rank(sv, tol, 1e-300) < n:
         raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
     target = np.hstack(
         [source_image, np.zeros((n, kernel.shape[1]), dtype=complex)]
@@ -591,7 +571,6 @@ def attempt_jordan_svd(
     *,
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
-    max_retries: int = 16,
 ) -> tuple[JordanSVD | None, ExistenceReport]:
     """Full existence flow: necessary conditions, then construction.
 
@@ -602,11 +581,11 @@ def attempt_jordan_svd(
     boundary is open.
     """
     pa = _PairAnalysis(m, tol, cluster_gap)
-    return _attempt_jordan_svd(pa, rng, recon_tol, max_retries)
+    return _attempt_jordan_svd(pa, rng, recon_tol)
 
 
 def _attempt_jordan_svd(
-    pa: _PairAnalysis, rng, recon_tol: float = DEFAULT_RECON_TOL, max_retries: int = 16
+    pa: _PairAnalysis, rng, recon_tol: float = DEFAULT_RECON_TOL
 ) -> tuple[JordanSVD | None, ExistenceReport]:
     m, ranks, rank_ok = pa.m, pa.ranks, pa.pinv_exists
     nec1, nec2, nec3 = pa.necessary()
@@ -616,11 +595,11 @@ def _attempt_jordan_svd(
         status = JsvdStatus.NOT_EXISTS
         reason = f"necessary condition {failed[0]} fails"
     else:
-        hermitian = m.is_hermitian(pa.tol * max(1.0, pa.scale))
+        hermitian = _is_hermitian(m, pa.tol)
         if rank_ok or hermitian:
             try:
                 if rank_ok:
-                    jsvd = _jordan_svd(pa, rng, recon_tol, max_retries)
+                    jsvd = _jordan_svd(pa, rng, recon_tol)
                 else:
                     jsvd = hermitian_jsvd(
                         m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap

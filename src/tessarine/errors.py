@@ -45,14 +45,7 @@ class NoPseudoinverse(TessarineError):
 
 
 class PreconditionFailed(TessarineError):
-    """An algorithm was invoked outside its guaranteed hypothesis.
-
-    Carries an optional ``report`` attribute with diagnostic detail.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """An algorithm was invoked outside its guaranteed hypothesis."""
 
 
 class VerificationFailed(TessarineError):

@@ -205,8 +205,10 @@ def run_trial(
     )
 
 
-def _check_scan_args(profiles: tuple[str, ...], n_max: int) -> None:
+def _check_scan_args(trials: int, profiles: tuple[str, ...], n_max: int) -> None:
     """Raise ``BadProfile`` unless ``conjecture_scan`` accepts these arguments."""
+    if trials < 0:
+        raise BadProfile(f"trials must be non-negative, got {trials}")
     if not profiles:
         raise BadProfile(f"no profile given; choose from {PROFILES}")
     for p in profiles:
@@ -233,7 +235,7 @@ def conjecture_scan(
     is produced.
     Bad arguments raise ``BadProfile`` before the first trial.
     """
-    _check_scan_args(profiles, n_max)
+    _check_scan_args(trials, profiles, n_max)
     records: list[TrialRecord] = []
     summary = ScanSummary()
     for t in range(trials):

@@ -21,6 +21,11 @@ class PairFormatError(ValueError):
     """Malformed matrix-pair document."""
 
 
+def _is_number(v) -> bool:
+    """A JSON number: json.load reads true and false as bool, an int subclass."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def scalar_to_obj(x: DoubleComplex) -> dict:
     """Standalone tessarine scalars serialize as {"p": [re,im], "q": [re,im]}."""
     return {
@@ -38,9 +43,7 @@ def obj_to_scalar(obj) -> DoubleComplex:
         if (
             not isinstance(cell, list)
             or len(cell) != 2
-            or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in cell
-            )
+            or not all(_is_number(v) and math.isfinite(v) for v in cell)
         ):
             raise PairFormatError(f'"{key}" must be a finite [re, im] pair')
         parts[key] = complex(float(cell[0]), float(cell[1]))
@@ -58,7 +61,7 @@ def _grid_to_array(grid, n: int, name: str) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(_is_number(x) for x in cell)
             ):
                 raise PairFormatError(
                     f"{name}[{i}][{k}] must be a [re, im] number pair"
@@ -82,7 +85,7 @@ def obj_to_pair(obj) -> DCMatrix:
     if not isinstance(obj, dict):
         raise PairFormatError("document must be a JSON object")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PairFormatError('"n" must be a positive integer')
     missing = {"A", "B"} - obj.keys()
     if missing:

@@ -96,6 +96,8 @@ class TestPairFile:
         assert obj_to_scalar(json.loads(json.dumps(obj))) == x
         with pytest.raises(PairFormatError):
             obj_to_scalar({"p": [0, 0]})
+        with pytest.raises(PairFormatError):
+            obj_to_scalar({"p": [True, 0], "q": [0, 0]})
 
 
 class TestCheck:
@@ -139,6 +141,17 @@ class TestCheck:
 
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/file.json"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"n": True, "A": [[[1, 0]]], "B": [[[1, 0]]]},
+        {"n": 1, "A": [[[True, False]]], "B": [[[1, 0]]]},
+    ], ids=["n", "entry"])
+    def test_json_booleans_exit_2(self, tmp_path, capsys, doc):
+        # json reads true as a bool, which Python counts as the int 1
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
 
 
 class TestPinvCommand:
@@ -297,7 +310,8 @@ class TestExploreCommand:
         # each is rejected before --out is opened: an existing file survives
         previous = b'{"seed": 1, "n": 2}\n'
         for flags in (["--profile", "bogus"], ["--profile", ","],
-                      ["--n", "0"], ["--n", "-1"], ["--n", "7"]):
+                      ["--n", "0"], ["--n", "-1"], ["--n", "7"],
+                      ["--trials", "-3"]):
             out = tmp_path / "x.ndjson"
             out.write_bytes(previous)
             code = main(["explore", "--trials", "40", *flags, "--out", str(out)])

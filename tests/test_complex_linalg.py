@@ -21,9 +21,12 @@ from tessarine.complex_linalg import (
     rank,
     similar,
     sqrt_via_jordan,
+    _kernel_staircase,
     _same_structure,
+    _staircase_sizes,
 )
 from tessarine.dcmatrix import max_abs
+from tessarine.dcnum import DEFAULT_TOL
 from tessarine.errors import ClusterAmbiguity, NilpotentBlock
 
 
@@ -71,6 +74,43 @@ class TestSubspaces:
             r = int(rng.integers(0, 5))
             a = crand(rng, 4, r) @ crand(rng, r, 4) if r else np.zeros((4, 4))
             assert null_space(a).dim + column_space(a).dim == 4
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("factor, want", [(1.001, 2), (0.999, 1)])
+def test_zero_rule_boundary_agrees(scale, factor, want):
+    # one singular value just above or just below tol * sigma_1
+    a = scale * np.diag([DEFAULT_TOL * factor, 1.0, 0.0]).astype(complex)
+    assert rank(a) == want
+    assert 3 - null_space(a).dim == want
+    assert column_space(a).dim == want
+    assert 3 - _kernel_staircase(a, DEFAULT_TOL)[0].shape[1] == want
+
+
+def partitions(n, largest=None):
+    """Partitions of n, parts largest first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k, *rest)
+
+
+@pytest.mark.parametrize("sizes", [p for n in range(1, 7) for p in partitions(n)])
+def test_partition_round_trip(sizes):
+    n = sum(sizes)
+    rng = np.random.default_rng(n)
+    q1, _ = np.linalg.qr(crand(rng, n, n))
+    q2, _ = np.linalg.qr(crand(rng, n, n))
+    p = q1 @ np.diag(10.0 ** rng.uniform(0, 1.4, n)) @ q2
+    x = p @ jordan_matrix(tuple((0j, k) for k in sizes)) @ np.linalg.inv(p)
+    nullities = [basis.shape[1] for basis in _kernel_staircase(x, DEFAULT_TOL)]
+    assert tuple(_staircase_sizes(nullities)) == sizes
+    # rounding splits a gauged block of size k into eigenvalues about
+    # eps**(1/k) apart (2.5e-3 at k = 6), so 1 is clustered at a wider gap
+    jf = jordan_decomposition(x + np.eye(n), cluster_gap=1e-2)
+    assert tuple(size for _, size in jf.blocks) == sizes
 
 
 class TestJordan:
