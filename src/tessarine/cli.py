@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,10 +20,10 @@ from .decompositions import (
     DEFAULT_RECON_TOL,
     JsvdStatus,
     attempt_jordan_svd,
-    jsvd_to_polar,
     naive_dc_svd,
     penrose_check,
     pinv,
+    _verified_polar,
 )
 from .errors import NoPseudoinverse, TessarineError
 from .explorer import PROFILES, conjecture_scan, _blocks_as_json, _check_scan_args
@@ -36,14 +35,6 @@ EXIT_NOT_EXISTS = 3
 EXIT_UNKNOWN = 4
 
 
-def _default_seed() -> int:
-    env = os.environ.get("TESSARINE_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        return 0
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("input", help="matrix-pair JSON file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -52,8 +43,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="reconstruction acceptance tolerance (default 1e-7)")
     p.add_argument("--cluster-gap", type=float, default=DEFAULT_CLUSTER_GAP,
                    help="relative eigenvalue clustering gap (default 1e-6)")
-    p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="rng seed (default: $TESSARINE_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--profile", default="dense,ranks",
                     help=f"comma-separated profiles from {PROFILES}")
     ex.add_argument("--n", type=int, default=5, help="max matrix dimension")
-    ex.add_argument("--seed", type=int, default=_default_seed())
+    ex.add_argument("--seed", type=int, default=0)
     ex.add_argument("--out", default="explore.ndjson",
                     help="NDJSON record stream path")
     ex.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -104,96 +94,84 @@ def _options(args) -> dict:
     }
 
 
-def cmd_check(args) -> int:
-    m = load_pair(args.input)
+def _check(m, args) -> tuple[int, dict]:
     _, report = attempt_jordan_svd(m, args.tol, **_options(args))
-    _emit({"command": "check", "tolerances": _tolerances(args),
-           **report.as_dict()})
-    return EXIT_OK
+    return EXIT_OK, report.as_dict()
 
 
-def _status_exit(report) -> int:
-    if report.jsvd_status is JsvdStatus.NOT_EXISTS:
-        return EXIT_NOT_EXISTS
-    return EXIT_UNKNOWN
+def _refusal(report) -> tuple[int, dict]:
+    """Exit code and body for a pair the existence flow built no factors for."""
+    proven = report.jsvd_status is JsvdStatus.NOT_EXISTS
+    return (EXIT_NOT_EXISTS if proven else EXIT_UNKNOWN,
+            {"error": report.reason, **report.as_dict()})
 
 
-def cmd_jsvd(args) -> int:
-    m = load_pair(args.input)
+def _jsvd(m, args) -> tuple[int, dict]:
     jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
     if jsvd is None:
-        _emit({"command": "jsvd", "tolerances": _tolerances(args),
-               "error": report.reason, **report.as_dict()})
-        return _status_exit(report)
-    _emit({
-        "command": "jsvd",
-        "tolerances": _tolerances(args),
+        return _refusal(report)
+    return EXIT_OK, {
         "residual": jsvd.residual,
         "j_blocks": _blocks_as_json(jsvd.blocks),
         "U": pair_to_obj(jsvd.u),
         "S": pair_to_obj(jsvd.s),
         "V": pair_to_obj(jsvd.v),
         **report.as_dict(),
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_pinv(args) -> int:
-    m = load_pair(args.input)
-    try:
-        k = pinv(m, args.tol, **_options(args))
-    except TessarineError as ex:
-        proven = isinstance(ex, NoPseudoinverse)
-        _emit({"command": "pinv", "tolerances": _tolerances(args),
-               "error": str(ex) if proven else f"{type(ex).__name__}: {ex}"})
-        return EXIT_NOT_EXISTS if proven else EXIT_UNKNOWN
-    _emit({
-        "command": "pinv",
-        "tolerances": _tolerances(args),
-        "penrose_axioms": list(penrose_check(m, k, args.recon_tol)),
-        "residual": (m @ k @ m - m).norm_inf(),
-        "pinv": pair_to_obj(k),
-    })
-    return EXIT_OK
-
-
-def cmd_svd(args) -> int:
-    m = load_pair(args.input)
-    try:
-        u, s, v = naive_dc_svd(m, args.tol, recon_tol=args.recon_tol)
-    except TessarineError as ex:
-        _emit({"command": "svd", "tolerances": _tolerances(args),
-               "error": f"{type(ex).__name__}: {ex}"})
-        return EXIT_UNKNOWN
-    residual = (u @ s @ v.star() - m).norm_inf()
-    _emit({
-        "command": "svd",
-        "tolerances": _tolerances(args),
-        "residual": residual,
-        "U": pair_to_obj(u),
-        "S": pair_to_obj(s),
-        "V": pair_to_obj(v),
-    })
-    return EXIT_OK
-
-
-def cmd_polar(args) -> int:
-    m = load_pair(args.input)
+def _polar(m, args) -> tuple[int, dict]:
     jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
     if jsvd is None:
-        _emit({"command": "polar", "tolerances": _tolerances(args),
-               "error": report.reason, **report.as_dict()})
-        return _status_exit(report)
-    pd = jsvd_to_polar(jsvd)
-    residual = (pd.reconstruct() - m).norm_inf()
-    _emit({
-        "command": "polar",
-        "tolerances": _tolerances(args),
+        return _refusal(report)
+    pd, residual = _verified_polar(jsvd, m, args.recon_tol)
+    return EXIT_OK, {
         "residual": residual,
         "unitary_factor": pair_to_obj(pd.unitary_factor),
         "hermitian_factor": pair_to_obj(pd.hermitian_factor),
-    })
-    return EXIT_OK
+    }
+
+
+def _pinv(m, args) -> tuple[int, dict]:
+    k = pinv(m, args.tol, **_options(args))
+    return EXIT_OK, {
+        "penrose_axioms": list(penrose_check(m, k, args.recon_tol)),
+        "residual": (m @ k @ m - m).norm_inf(),
+        "pinv": pair_to_obj(k),
+    }
+
+
+def _svd(m, args) -> tuple[int, dict]:
+    u, s, v = naive_dc_svd(m, args.tol, recon_tol=args.recon_tol)
+    return EXIT_OK, {
+        "residual": (u @ s @ v.star() - m).norm_inf(),
+        "U": pair_to_obj(u),
+        "S": pair_to_obj(s),
+        "V": pair_to_obj(v),
+    }
+
+
+_PAIR_COMMANDS = {
+    "check": _check,
+    "pinv": _pinv,
+    "jsvd": _jsvd,
+    "svd": _svd,
+    "polar": _polar,
+}
+
+
+def cmd_pair(args) -> int:
+    """Load the pair, run one command on it and print one JSON document,
+    headed by the command and its tolerances, on success and on failure."""
+    m = load_pair(args.input)
+    try:
+        code, body = _PAIR_COMMANDS[args.command](m, args)
+    except NoPseudoinverse as ex:
+        code, body = EXIT_NOT_EXISTS, {"error": str(ex)}
+    except TessarineError as ex:
+        code, body = EXIT_UNKNOWN, {"error": f"{type(ex).__name__}: {ex}"}
+    _emit({"command": args.command, "tolerances": _tolerances(args), **body})
+    return code
 
 
 def cmd_explore(args) -> int:
@@ -223,29 +201,14 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "pinv": cmd_pinv,
-    "jsvd": cmd_jsvd,
-    "svd": cmd_svd,
-    "polar": cmd_polar,
-    "explore": cmd_explore,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = cmd_explore if args.command == "explore" else cmd_pair
     try:
-        return _COMMANDS[args.command](args)
-    except (PairFormatError, FileNotFoundError, IsADirectoryError) as ex:
+        return command(args)
+    except (PairFormatError, OSError) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except NoPseudoinverse as ex:
-        print(f"not exists: {ex}", file=sys.stderr)
-        return EXIT_NOT_EXISTS
-    except TessarineError as ex:
-        print(f"{type(ex).__name__}: {ex}", file=sys.stderr)
-        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -113,10 +113,8 @@ class _PairAnalysis:
 
     AB, BA and the rank quadruple are computed on construction; the
     kernel staircases of AB and BA, which decide AB ~ BA and the
-    square-root conditions, once each, when first asked for.  When BA
-    equals AB bit for bit (every n = 1 pair, every commuting pair) both
-    share AB's.  No Jordan form is computed here: only the construction
-    of factors needs one.
+    square-root conditions, once each, when first asked for.  No Jordan
+    form is computed here: only the construction of factors needs one.
 
     Construction raises ``NonFiniteInput`` when the pair, AB or BA has a
     NaN or infinite entry: products of finite matrices can overflow, and
@@ -136,21 +134,19 @@ class _PairAnalysis:
         self.products = {"ab": ab, "ba": ba}
         self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, ab, ba))
         self.pinv_exists = len(set(self.ranks)) == 1
-        self._source = {"ab": "ab", "ba": "ab" if np.array_equal(ab, ba) else "ba"}
         self._nullities: dict[str, list[int]] = {}
 
     def nullities(self, product: str) -> list[int]:
         """dim ker x^k for k = 1, 2, ... while it grows, of x = AB
         (``product`` "ab") or BA ("ba")."""
-        key = self._source[product]
-        if key not in self._nullities:
-            n, r = self.m.n, self.ranks[2 if key == "ab" else 3]
-            x = self.products[key]
-            self._nullities[key] = (
+        if product not in self._nullities:
+            n, r = self.m.n, self.ranks[2 if product == "ab" else 3]
+            x = self.products[product]
+            self._nullities[product] = (
                 [n - r] if r in (0, n)
                 else [basis.shape[1] for basis in _kernel_staircase(x, self.tol)]
             )
-        return self._nullities[key]
+        return self._nullities[product]
 
     def ab_similar_ba(self) -> bool:
         """AB ~ BA: by Flanders' theorem AB and BA share their Jordan blocks
@@ -448,14 +444,14 @@ def hermitian_jsvd(
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> JordanSVD:
-    """Jordan SVD of a Hermitian matrix [A, A] via its Jordan decomposition.
+    """Jordan SVD of a Hermitian matrix [A, A]: ``polar_to_jsvd`` of the
+    trivial polar decomposition m = I m.
 
     This route does not need the pseudoinverse rank condition, so it
     certifies existence for Hermitian matrices (for example nilpotent
-    [J, J]) that have no pseudoinverse.
+    [J, J]) that have no pseudoinverse.  Any other m raises
+    ``PreconditionFailed``.
     """
-    if not _is_hermitian(m, tol):
-        raise PreconditionFailed("matrix is not Hermitian")
     pd = PolarDecomposition(DCMatrix.identity(m.n), m)
     return polar_to_jsvd(pd, tol, recon_tol=recon_tol, cluster_gap=cluster_gap)
 
@@ -466,6 +462,15 @@ def jsvd_to_polar(jsvd: JordanSVD) -> PolarDecomposition:
         unitary_factor=jsvd.u @ jsvd.v.star(),
         hermitian_factor=jsvd.v @ jsvd.s @ jsvd.v.star(),
     )
+
+
+def _verified_polar(
+    jsvd: JordanSVD, m: DCMatrix, recon_tol: float
+) -> tuple[PolarDecomposition, float]:
+    """``jsvd_to_polar`` of a Jordan SVD of m, with its residual against m
+    checked by the polar gate."""
+    pd = jsvd_to_polar(jsvd)
+    return pd, _verified_residual("polar", pd.reconstruct(), m, recon_tol)
 
 
 def polar(
@@ -482,9 +487,7 @@ def polar(
     from ``jordan_svd`` propagate unchanged.
     """
     jsvd = jordan_svd(m, tol, rng, recon_tol=recon_tol, cluster_gap=cluster_gap)
-    pd = jsvd_to_polar(jsvd)
-    _verified_residual("polar", pd.reconstruct(), m, recon_tol)
-    return pd
+    return _verified_polar(jsvd, m, recon_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +598,21 @@ def _attempt_jordan_svd(
         status = JsvdStatus.NOT_EXISTS
         reason = f"necessary condition {failed[0]} fails"
     else:
-        hermitian = _is_hermitian(m, pa.tol)
-        if rank_ok or hermitian:
-            try:
-                if rank_ok:
-                    jsvd = _jordan_svd(pa, rng, recon_tol)
-                else:
-                    jsvd = hermitian_jsvd(
-                        m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap
-                    )
-                status = JsvdStatus.EXISTS
-            except TessarineError as ex:
-                status = JsvdStatus.UNKNOWN
-                reason = f"{type(ex).__name__}: {ex}"
-        else:
+        try:
+            if rank_ok:
+                jsvd = _jordan_svd(pa, rng, recon_tol)
+            else:
+                jsvd = hermitian_jsvd(
+                    m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap
+                )
+            status = JsvdStatus.EXISTS
+        except PreconditionFailed:
+            # the Hermitian route's: m is not of the form [H, H]
             status = JsvdStatus.UNKNOWN
             reason = "rank condition fails; existence undetermined"
+        except TessarineError as ex:
+            status = JsvdStatus.UNKNOWN
+            reason = f"{type(ex).__name__}: {ex}"
 
     report = ExistenceReport(
         rank_a=ranks[0],

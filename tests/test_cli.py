@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from tessarine import decompositions
 from tessarine.cli import main
 from tessarine.complex_linalg import jordan_matrix
 from tessarine.dcmatrix import DCMatrix
-from tessarine.decompositions import pinv
+from tessarine.decompositions import PolarDecomposition, pinv
 from tessarine.pairfile import (
     PairFormatError,
     load_pair,
@@ -142,6 +143,10 @@ class TestCheck:
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/file.json"]) == 2
 
+    def test_over_long_path_exit_2(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / ("p" * 5000))]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     @pytest.mark.parametrize("doc", [
         {"n": True, "A": [[[1, 0]]], "B": [[[1, 0]]]},
         {"n": 1, "A": [[[True, False]]], "B": [[[1, 0]]]},
@@ -217,6 +222,16 @@ def test_overflowing_jordan_chains_keep_the_exit_contract(
     assert doc[key].startswith("ClusterAmbiguity: ")
 
 
+@pytest.mark.parametrize("command", ["check", "jsvd", "polar"])
+def test_overflowing_product_prints_a_document(tmp_path, capsys, command):
+    path = tmp_path / "big.json"
+    write_pair(path, [[1e200]], [[1e200]])
+    code, doc = run_cli(capsys, command, str(path))
+    assert code == 4
+    assert list(doc) == ["command", "tolerances", "error"]
+    assert doc["error"].startswith("NonFiniteInput: ")
+
+
 class TestSvdCommand:
     def test_defective_exit_4(self, tmp_path, capsys):
         path = tmp_path / "def.json"
@@ -254,6 +269,23 @@ class TestPolarCommand:
     def test_counterexample_exit_3(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "polar", counterexample_file(tmp_path))
         assert code == 3
+
+    def test_residual_gate(self, tmp_path, capsys, monkeypatch):
+        # factors off by 1e-3 fail the gate of decompositions.polar
+        original = decompositions.jsvd_to_polar
+
+        def perturbed(jsvd):
+            pd = original(jsvd)
+            e = 1e-3 * np.eye(jsvd.u.n)
+            return PolarDecomposition(pd.unitary_factor + DCMatrix(e, e),
+                                      pd.hermitian_factor)
+
+        monkeypatch.setattr(decompositions, "jsvd_to_polar", perturbed)
+        path, _ = invertible_file(tmp_path, seed=3)
+        code, doc = run_cli(capsys, "polar", path)
+        assert code == 4
+        assert doc["error"].startswith("VerificationFailed: polar residual")
+        assert "unitary_factor" not in doc
 
 
 class TestExploreCommand:
@@ -297,14 +329,10 @@ class TestExploreCommand:
         statuses = [json.loads(l)["jsvd_status"] for l in out.read_text().splitlines()]
         assert "not_exists" in statuses
 
-    def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TESSARINE_SEED", "33")
-        out1 = tmp_path / "env.ndjson"
-        code, doc = run_cli(
-            capsys, "explore", "--trials", "5", "--out", str(out1)
-        )
-        assert code == 0
-        assert doc["seed"] == 33
+    def test_over_long_out_name_exit_2(self, tmp_path, capsys):
+        out = tmp_path / ("x" * 300)
+        assert main(["explore", "--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
 
     def test_bad_flags_exit_2(self, tmp_path, capsys):
         # each is rejected before --out is opened: an existing file survives

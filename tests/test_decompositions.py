@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tessarine import complex_linalg, explorer
+from tessarine import complex_linalg, decompositions, explorer
 from tessarine.dcmatrix import DCMatrix, direct_sum, embed_complex, max_abs
 from tessarine.complex_linalg import jordan_decomposition, jordan_matrix, similar
 from tessarine.decompositions import (
@@ -526,6 +526,42 @@ class TestHermitianRoute:
         assert (pd.reconstruct() - m).norm_inf() <= 1e-7 * m.norm_inf()
 
 
+class TestHermitianGateOnce:
+    """The Hermitian route checks the form [H, H] once; the rank route never."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = decompositions._is_hermitian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decompositions, "_is_hermitian", counted)
+        return calls
+
+    def test_hermitian_route(self, calls):
+        j = np.array([[0, 1], [0, 0]], dtype=complex)
+        _, report = attempt_jordan_svd(DCMatrix(j, j))
+        assert report.jsvd_status is JsvdStatus.EXISTS
+        assert len(calls) == 1
+
+    def test_rank_condition(self, calls):
+        m = rank_condition_pair(4, np.random.default_rng(3), r=2)
+        _, report = attempt_jordan_svd(m)
+        assert report.jsvd_status is JsvdStatus.EXISTS
+        assert calls == []
+
+    def test_not_hermitian_keeps_its_reason(self, calls):
+        m = DCMatrix(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        _, report = attempt_jordan_svd(m)
+        assert report.reason == "rank condition fails; existence undetermined"
+        assert len(calls) == 1
+        with pytest.raises(PreconditionFailed, match=r"not of the form \[H, H\]"):
+            hermitian_jsvd(m)
+
+
 class TestBlockPinv:
     """The block lemma (L (+) M)+ = L+ (+) M+."""
 
@@ -681,7 +717,7 @@ class TestPairAnalysedOnce:
         assert counts == {"jordan_decomposition": 1, "rank": 4}
 
     def test_scalar_pair_decomposed_once(self, counts):
-        # scalars commute, so BA is AB bit for bit and shares its form
+        # n = 1: the rank quadruple alone decides the verdicts
         record = explorer.run_trial(7, "dense", 1)
         assert record.jsvd_status == "exists"
         assert counts == {"jordan_decomposition": 1, "rank": 4}
