@@ -215,6 +215,21 @@ def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
     return u[:, :_sv_rank(s, keep_tol)]
 
 
+def _scaled_norm(v: np.ndarray) -> float:
+    """2-norm of v that neither under- nor overflows: it is taken on v
+    divided by a power of two near max|v|, which is exact, so in range it
+    equals ``np.linalg.norm(v)`` bit for bit.  A v whose entries are all
+    subnormal has lost its precision and reads as 0; a non-finite v gives
+    inf or nan."""
+    big = max_abs(v)
+    if big < np.finfo(float).tiny:
+        return 0.0
+    if not big < math.inf:
+        return big
+    unit = np.ldexp(1.0, np.frexp(big)[1] - 1)  # unit <= big < 2 * unit
+    return float(np.linalg.norm(v / unit) * unit)
+
+
 def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     """Jordan chains of e = a - lam I at a cluster of ``mult`` eigenvalues.
 
@@ -267,7 +282,7 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
                 members.append(e @ members[-1])
             members.reverse()  # eigenvector first
             chain = np.column_stack(members)
-            norm2 = np.linalg.norm(chain[:, 0]) * np.linalg.norm(chain[:, -1])
+            norm2 = _scaled_norm(chain[:, 0]) * _scaled_norm(chain[:, -1])
         if not 0 < norm2 < math.inf:
             raise ClusterAmbiguity(
                 f"degenerate Jordan chain (norm product {norm2:.3e})"
@@ -379,11 +394,14 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_block_triangular(lam: complex, mu: complex, size: int) -> np.ndarray:
-    """Square root of a single invertible Jordan block.
+def _root_chain_basis(lam: complex, mu: complex, size: int) -> np.ndarray:
+    """Chain basis T of the primary square root of J_size(lam) with
+    eigenvalue mu: sqrt(J_size(lam)) = T J_size(mu) T^-1.
 
-    Uses mu * sum_i binom(1/2, i) (N/lam)^i with mu^2 = lam, which
-    terminates because N is nilpotent.
+    The root is mu * sum_i binom(1/2, i) (N/lam)^i with mu^2 = lam, which
+    terminates because N is nilpotent.  Its nilpotent part R = root - mu I
+    has the nonzero superdiagonal mu / (2 lam), so the chain R^k e_size
+    spans.
     """
     nil = np.diag(np.ones(size - 1), 1).astype(complex)
     total = np.zeros((size, size), dtype=complex)
@@ -393,20 +411,10 @@ def _sqrt_block_triangular(lam: complex, mu: complex, size: int) -> np.ndarray:
         total += coeff * term
         term = term @ nil / lam
         coeff *= (0.5 - i) / (i + 1)
-    return mu * total
-
-
-def _chain_basis_for_block(s_block: np.ndarray, mu: complex) -> np.ndarray:
-    """Similarity taking an upper-triangular block root to canonical form.
-
-    For an invertible block root the nilpotent part has a nonzero
-    superdiagonal, so the chain generated by the last basis vector spans.
-    """
-    size = s_block.shape[0]
-    nil = s_block - mu * np.eye(size)
+    r = mu * total - mu * np.eye(size)
     cols = [np.eye(size, dtype=complex)[:, size - 1]]
     for _ in range(size - 1):
-        cols.append(nil @ cols[-1])
+        cols.append(r @ cols[-1])
     cols.reverse()
     return np.column_stack(cols)
 
@@ -419,7 +427,8 @@ def sqrt_jordan_factors(
     The input must have no non-trivially nilpotent Jordan blocks (every
     block invertible, or a 1x1 zero); otherwise ``NilpotentBlock`` is
     raised.  The root's Jordan form is constructed structurally from the
-    input's, so only one eigenvalue clustering is ever performed.
+    input's, so only one eigenvalue clustering is ever performed, and the
+    root is read off that form: the residual gate checks the form itself.
     """
     a = _as_square(a)
     jf = jordan_decomposition(a, cluster_gap=cluster_gap)
@@ -427,9 +436,9 @@ def sqrt_jordan_factors(
     zero_tol = cluster_gap * scale
 
     root_blocks: list[tuple[complex, int]] = []
-    s_blocks: list[np.ndarray] = []
-    t_blocks: list[np.ndarray] = []
-    for lam, size in jf.blocks:
+    cols: list[np.ndarray] = []
+    for lam, span in _block_spans(jf.blocks):
+        size = span.stop - span.start
         if abs(lam) <= zero_tol:
             if size > 1:
                 raise NilpotentBlock(
@@ -437,29 +446,22 @@ def sqrt_jordan_factors(
                     "no primary square root exists along this structure"
                 )
             root_blocks.append((0j, 1))
-            s_blocks.append(np.zeros((1, 1), complex))
-            t_blocks.append(np.ones((1, 1), complex))
+            cols.append(jf.p[:, span])
         else:
             mu = halfplane_sqrt(lam, zero_tol)
-            s_block = _sqrt_block_triangular(lam, mu, size)
             root_blocks.append((mu, size))
-            s_blocks.append(s_block)
-            t_blocks.append(_chain_basis_for_block(s_block, mu))
-
-    s_tri = _block_diag(jf.blocks, s_blocks)
-    root = jf.p @ s_tri @ np.linalg.inv(jf.p)
+            cols.append(jf.p[:, span] @ _root_chain_basis(lam, mu, size))
 
     # canonical re-sort of the root's blocks (sqrt reshuffles the order)
-    p_root = jf.p @ _block_diag(jf.blocks, t_blocks)
-    cols = [p_root[:, span] for _, span in _block_spans(jf.blocks)]
-    blocks, p_sorted = _canonical_order(root_blocks, cols)
-    root_jf = JordanForm(p_sorted, jordan_matrix(blocks), blocks)
+    blocks, p_root = _canonical_order(root_blocks, cols)
+    root_jf = JordanForm(p_root, jordan_matrix(blocks), blocks)
+    root = p_root @ root_jf.j @ np.linalg.inv(p_root)
 
     residual = max_abs(root @ root - a)
-    if residual > SQRT_RECON_TOL * max(scale, 1.0):
+    if residual > SQRT_RECON_TOL * scale:
         raise ClusterAmbiguity(
-            f"square-root residual {residual:.3e} exceeds tolerance; "
-            "input structure unresolved"
+            f"square-root residual {residual:.3e} exceeds "
+            f"{SQRT_RECON_TOL:.1e} * scale; input structure unresolved"
         )
     return root, root_jf
 
@@ -468,15 +470,6 @@ def sqrt_via_jordan(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> np.ndarra
     """Primary half-plane square root of a matrix via its Jordan form."""
     root, _ = sqrt_jordan_factors(a, cluster_gap=cluster_gap)
     return root
-
-
-def _block_diag(blocks: Blocks, parts: list[np.ndarray]) -> np.ndarray:
-    """Block-diagonal matrix holding parts on the diagonal spans of blocks."""
-    n = sum(size for _, size in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    for (_, span), part in zip(_block_spans(blocks), parts):
-        out[span, span] = part
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,9 @@ from .errors import (
     TessarineError,
     VerificationFailed,
 )
-from .orthonormal import DCVector, assemble_columns, extend_orthonormal
+from .orthonormal import DCVector, extend_orthonormal, _gram_drift
 
 DEFAULT_RECON_TOL = 1e-7
-ZERO_COLUMN_REL = 1e-9
 DIAGONALIZABLE_RTOL = 1e-6
 
 
@@ -326,9 +325,10 @@ def jordan_svd(
     Requires the pseudoinverse rank condition (the guaranteed regime).
     Steps: take the half-plane square root of BA along with its Jordan
     form P J P^-1; set V = [P, P^-1] and S = [J, J]; form U' = m V S+
-    with S+ = [J+, J+]; replace the zero columns of U' (they sit exactly
-    at the zero blocks of J) by a randomized orthonormal extension; and
-    verify m = U S V*.
+    with S+ = [J+, J+]; check that the columns of U' at the nonzero blocks
+    of J are orthonormal (|Y X - I| <= recon_tol for U' = [X, Y]); replace
+    the other columns, which are zero because J+ is there, by a randomized
+    orthonormal extension; and verify m = U S V*.
     """
     pa = _PairAnalysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
@@ -351,31 +351,24 @@ def _jordan_svd(pa: _PairAnalysis, rng, recon_tol: float) -> JordanSVD:
     s_pinv = DCMatrix(j_pinv, j_pinv)
 
     u_prime = m @ v @ s_pinv
-    threshold = ZERO_COLUMN_REL * max(u_prime.norm_inf(), 1e-300)
-    columns = [
-        DCVector(u_prime.a[:, k], u_prime.b[k, :]) for k in range(m.n)
-    ]
-    detected = {k for k, col in enumerate(columns) if col.max_abs() <= threshold}
-    structural = {
-        k for lam, span in _block_spans(blocks) if lam == 0
-        for k in range(span.start, span.stop)
-    }
-    if detected != structural:
+    # U' is exactly zero at the 1x1 zero blocks of J, where J+ is; its
+    # other columns must be orthonormal: Y X = I on them for U' = [X, Y]
+    zero = [span.start for lam, span in _block_spans(blocks) if lam == 0]
+    kept = [k for k in range(m.n) if k not in zero]
+    x, y = u_prime.a.copy(), u_prime.b.copy()
+    # the same figure as extend_orthonormal's input check below
+    drift = _gram_drift(x[:, kept], y[kept])
+    if not drift <= recon_tol:
         raise VerificationFailed(
-            f"zero columns of U' at {sorted(detected)} do not match the zero "
-            f"Jordan blocks at {sorted(structural)}"
+            f"U is not unitary: |Y X - I| = {drift:.3e} on the columns at "
+            f"nonzero Jordan blocks exceeds {recon_tol:.1e}"
         )
-
-    keep = [columns[k] for k in range(m.n) if k not in detected]
-    if detected:
-        basis = extend_orthonormal(keep, m.n, rng)
-        fresh = iter(basis[len(keep) :])
-        final = [
-            next(fresh) if k in detected else columns[k] for k in range(m.n)
-        ]
-    else:
-        final = columns
-    u = assemble_columns(final)
+    if zero:
+        keep = [DCVector(x[:, k], y[k]) for k in kept]
+        fresh = extend_orthonormal(keep, m.n, rng, tol=recon_tol)[len(keep) :]
+        x[:, zero] = np.column_stack([w.u for w in fresh])
+        y[zero] = np.vstack([w.v for w in fresh])
+    u = DCMatrix(x, y)
     residual = _verified_residual("Jordan SVD", u @ s @ v.star(), m, recon_tol)
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 

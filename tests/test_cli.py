@@ -216,10 +216,26 @@ class TestJsvdCommand:
 def test_overflowing_jordan_chains_keep_the_exit_contract(
     tmp_path, capsys, command, want_code, key
 ):
-    # the Jordan chains of BA overflow at this scale: a refusal, not a traceback
+    # the Jordan basis of BA's root is too ill-conditioned at this scale for
+    # a unitary U: a refusal, not a traceback
     code, doc = run_cli(capsys, command, long_chains_at_1e150_file(tmp_path))
     assert code == want_code
-    assert doc[key].startswith("ClusterAmbiguity: ")
+    assert doc[key].startswith("VerificationFailed: ")
+
+
+@pytest.mark.parametrize("command", ["check", "jsvd", "pinv", "polar"])
+def test_near_double_eigenvalue_exits_0(tmp_path, capsys, command):
+    # BA has eigenvalues 1 and 1 + 1e-8, apart at this gap; its U' is about
+    # 1e-8 from unitary, inside recon_tol
+    rng = np.random.default_rng(2)
+    p = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    p_inv = np.linalg.inv(p)
+    b = np.array([[1, 1, 0], [0, 1 + 1e-8, 0], [0, 0, 0]])
+    path = tmp_path / "near.json"
+    write_pair(path, p @ np.diag([1, 1, 0]) @ p_inv, p @ b @ p_inv)
+    code, doc = run_cli(capsys, command, str(path), "--cluster-gap", "1e-10")
+    assert code == 0
+    assert doc["command"] == command
 
 
 @pytest.mark.parametrize("command", ["check", "jsvd", "polar"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from tessarine import complex_linalg
 from tessarine.complex_linalg import (
     JORDAN_RECON_TOL,
     SEPARATION_FACTOR,
@@ -307,6 +308,35 @@ class TestSqrt:
             assert np.abs(r @ r - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
             eigs = np.linalg.eigvals(r)
             assert all(e.real > -1e-8 for e in eigs)
+
+    def test_residual_gate_has_no_floor(self, monkeypatch):
+        j = jordan_matrix(((4 + 0j, 2), (1j, 2)))
+        p = crand(np.random.default_rng(0), 4, 4)
+        a = 1e-12 * (p @ j @ np.linalg.inv(p))
+        r = sqrt_via_jordan(a)
+        assert max_abs(r @ r - a) <= 1e-8 * max_abs(a)
+        # J_mu in the chain basis of J_lam: a root about 30% wrong, which a
+        # bound of 1e-8 * max(|a|, 1) lets through at this scale
+        monkeypatch.setattr(
+            complex_linalg,
+            "_root_chain_basis",
+            lambda lam, mu, size: np.eye(size, dtype=complex),
+        )
+        with pytest.raises(ClusterAmbiguity):
+            sqrt_via_jordan(a)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+def test_chains_of_length_3_resolve_at_any_scale(scale):
+    # chain norms are taken on columns scaled by a power of two near their
+    # max modulus: no under- or overflow
+    j = jordan_matrix(((1 + 0j, 3), (1 + 0j, 2)))
+    p = crand(np.random.default_rng(0), 5, 5)
+    a = scale * (p @ j @ np.linalg.inv(p))
+    jf = jordan_decomposition(a, cluster_gap=1e-4)
+    assert [size for _, size in jf.blocks] == [3, 2]
+    residual = max_abs(jf.p @ jf.j @ np.linalg.inv(jf.p) - a)
+    assert residual <= JORDAN_RECON_TOL * max_abs(a)
 
 
 class TestPinvComplex:

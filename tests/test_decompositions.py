@@ -659,7 +659,9 @@ class TestNonFiniteInput:
 
 @pytest.mark.filterwarnings("error")
 class TestOverflowingJordanChains:
-    """At scale 1e150 long Jordan chains overflow: the library refuses, quietly."""
+    """At scale 1e150 chains of length 3 resolve, but the Jordan basis of
+    the root is too ill-conditioned for a unitary U: the library refuses,
+    quietly.  A chain of length 4 overflows."""
 
     @staticmethod
     def pair():
@@ -667,23 +669,86 @@ class TestOverflowingJordanChains:
         p = crand(np.random.default_rng(0), 8)
         return DCMatrix(np.eye(8), 1e150 * (p @ j @ np.linalg.inv(p)))
 
-    @pytest.mark.parametrize("entry", ["jordan_decomposition", "jordan_svd", "pinv"])
+    @pytest.mark.parametrize("entry", ["jordan_svd", "pinv"])
     def test_raises_inside_the_hierarchy(self, entry):
         call = TestNonFiniteInput.ENTRY_POINTS[entry]
         with pytest.raises(TessarineError):
             call(self.pair())
 
+    def test_jordan_decomposition_resolves(self):
+        b = self.pair().b
+        jf = jordan_decomposition(b)
+        assert sorted(size for _, size in jf.blocks) == [1, 2, 2, 3]
+        residual = max_abs(jf.p @ jf.j @ np.linalg.inv(jf.p) - b)
+        assert residual <= complex_linalg.JORDAN_RECON_TOL * max_abs(b)
+
     def test_attempt_reports_unknown(self):
         jsvd, report = attempt_jordan_svd(self.pair())
         assert jsvd is None
         assert report.jsvd_status is JsvdStatus.UNKNOWN
-        assert report.reason.startswith("ClusterAmbiguity: ")
+        assert report.reason.startswith("VerificationFailed: ")
 
     def test_four_long_chain(self):
         j = jordan_matrix(((1 + 0j, 4), (3 + 0j, 1)))
         p = crand(np.random.default_rng(0), 5)
         with pytest.raises(ClusterAmbiguity):
             jordan_decomposition(1e150 * (p @ j @ np.linalg.inv(p)), cluster_gap=1e-4)
+
+
+def two_block_matrix():
+    """B = P (J_2(4) + J_2(i)) P^-1 with P a complex Gaussian."""
+    p = crand(np.random.default_rng(0), 4)
+    return p @ jordan_matrix(((4 + 0j, 2), (1j, 2))) @ np.linalg.inv(p)
+
+
+def near_double_pair():
+    """BA has eigenvalues 1 and 1 + 1e-8 with nearly parallel eigenvectors:
+    apart at cluster_gap 1e-10, they give a U' about 1e-8 from unitary."""
+    p = crand(np.random.default_rng(2), 3)
+    p_inv = np.linalg.inv(p)
+    b = np.array([[1, 1, 0], [0, 1 + 1e-8, 0], [0, 0, 0]])
+    return DCMatrix(p @ np.diag([1, 1, 0]) @ p_inv, p @ b @ p_inv)
+
+
+class TestUnitarityGate:
+    """The Jordan SVD checks that the U it returns is unitary."""
+
+    def test_wrong_root_form_is_refused(self, monkeypatch):
+        # J_mu in the chain basis of J_lam is not a root of BA
+        monkeypatch.setattr(
+            complex_linalg,
+            "_root_chain_basis",
+            lambda lam, mu, size: np.eye(size, dtype=complex),
+        )
+        m = DCMatrix(np.eye(4), two_block_matrix())
+        with pytest.raises(TessarineError):
+            jordan_svd(m)
+        jsvd, report = attempt_jordan_svd(m)
+        assert jsvd is None
+        assert report.jsvd_status is JsvdStatus.UNKNOWN
+
+    @pytest.mark.parametrize(
+        "scale", [1e-20, 1e-16, 1e-12, 1.0, 1e12, 1e16, 1e20]
+    )
+    def test_every_returned_u_is_unitary(self, scale):
+        jsvd, report = attempt_jordan_svd(
+            DCMatrix(np.eye(4), scale * two_block_matrix())
+        )
+        if scale in (1e-12, 1.0, 1e12):
+            assert report.jsvd_status is JsvdStatus.EXISTS
+        if report.jsvd_status is JsvdStatus.EXISTS:
+            eye = np.eye(4)
+            assert max_abs(jsvd.u.b @ jsvd.u.a - eye) <= 1e-7
+            assert max_abs(jsvd.u.a @ jsvd.u.b - eye) <= 1e-7
+        else:
+            assert report.reason.startswith("VerificationFailed: U is not unitary")
+
+    def test_near_double_eigenvalue_stays_in_the_hierarchy(self):
+        # the kept columns are checked at recon_tol, by the gate and by
+        # extend_orthonormal alike: no ValueError escapes
+        jsvd, report = attempt_jordan_svd(near_double_pair(), cluster_gap=1e-10)
+        assert report.jsvd_status is JsvdStatus.EXISTS
+        assert jsvd.u.is_unitary(1e-7)
 
 
 class TestPairAnalysedOnce:

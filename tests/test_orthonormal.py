@@ -74,6 +74,17 @@ class TestGramSchmidt:
                 assert abs(inner_product(v, out).p) <= 1e-9
                 assert abs(inner_product(v, out).q) <= 1e-9
 
+    def test_matches_the_loop(self):
+        rng = np.random.default_rng(4)
+        for k in range(5):
+            s = [random_vector(5, rng) for _ in range(k)]
+            w = random_vector(5, rng)
+            want = w
+            for v in s:
+                want = want - v.scale(inner_product(v, w))
+            got = gram_schmidt_step(w, s)
+            assert (got - want).max_abs() <= 1e-13 * max(want.max_abs(), 1.0)
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         basis = extend_orthonormal([], 4, rng)[:2]
