@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .complex_linalg import DEFAULT_CLUSTER_GAP
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
@@ -43,7 +41,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="reconstruction acceptance tolerance (default 1e-7)")
     p.add_argument("--cluster-gap", type=float, default=DEFAULT_CLUSTER_GAP,
                    help="relative eigenvalue clustering gap (default 1e-6)")
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +85,6 @@ def _tolerances(args) -> dict:
 def _options(args) -> dict:
     """Keyword arguments that every pair command passes to the library."""
     return {
-        "rng": np.random.default_rng(args.seed),
         "recon_tol": args.recon_tol,
         "cluster_gap": args.cluster_gap,
     }

@@ -450,7 +450,9 @@ def sqrt_jordan_factors(
         else:
             mu = halfplane_sqrt(lam, zero_tol)
             root_blocks.append((mu, size))
-            cols.append(jf.p[:, span] @ _root_chain_basis(lam, mu, size))
+            # a 1x1 block's chain basis is [[1]]
+            cols.append(jf.p[:, span] if size == 1
+                        else jf.p[:, span] @ _root_chain_basis(lam, mu, size))
 
     # canonical re-sort of the root's blocks (sqrt reshuffles the order)
     blocks, p_root = _canonical_order(root_blocks, cols)

@@ -44,7 +44,7 @@ from .errors import (
     TessarineError,
     VerificationFailed,
 )
-from .orthonormal import DCVector, extend_orthonormal, _gram_drift
+from .orthonormal import _gram_drift
 
 DEFAULT_RECON_TOL = 1e-7
 DIAGONALIZABLE_RTOL = 1e-6
@@ -324,50 +324,43 @@ def jordan_svd(
 
     Requires the pseudoinverse rank condition (the guaranteed regime).
     Steps: take the half-plane square root of BA along with its Jordan
-    form P J P^-1; set V = [P, P^-1] and S = [J, J]; form U' = m V S+
-    with S+ = [J+, J+]; check that the columns of U' at the nonzero blocks
-    of J are orthonormal (|Y X - I| <= recon_tol for U' = [X, Y]); replace
-    the other columns, which are zero because J+ is there, by a randomized
-    orthonormal extension; and verify m = U S V*.
+    form P J P^-1; set V = [P, P^-1] and S = [J, J]; build U = [X, X^-1]
+    with X = A P J+ at the nonzero blocks of J and a basis of ker B at
+    its 1x1 zero blocks; check that U is unitary (|Y X - I| <= recon_tol
+    for U = [X, Y]) and verify m = U S V*.  The construction draws no
+    random numbers: ``rng`` is accepted for compatibility and ignored.
     """
     pa = _PairAnalysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise PreconditionFailed(
             f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    return _jordan_svd(pa, rng, recon_tol)
+    return _jordan_svd(pa, recon_tol)
 
 
-def _jordan_svd(pa: _PairAnalysis, rng, recon_tol: float) -> JordanSVD:
+def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
     """``jordan_svd`` of a pair known to meet the rank condition."""
     m = pa.m
-    if rng is None:
-        rng = np.random.default_rng(0)
     _, root_jf = sqrt_jordan_factors(pa.products["ba"], cluster_gap=pa.cluster_gap)
     p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
     v = DCMatrix(p, np.linalg.inv(p))
     s = DCMatrix(j, j)
-    j_pinv = _jordan_pinv(j, blocks)
-    s_pinv = DCMatrix(j_pinv, j_pinv)
 
-    u_prime = m @ v @ s_pinv
-    # U' is exactly zero at the 1x1 zero blocks of J, where J+ is; its
-    # other columns must be orthonormal: Y X = I on them for U' = [X, Y]
+    # A P = X J fixes X at J's nonzero blocks; B X = P J puts ker B, the
+    # right singular vectors of B's n - rank B smallest, at its zero blocks
+    x = m.a @ p @ _jordan_pinv(j, blocks)
     zero = [span.start for lam, span in _block_spans(blocks) if lam == 0]
-    kept = [k for k in range(m.n) if k not in zero]
-    x, y = u_prime.a.copy(), u_prime.b.copy()
-    # the same figure as extend_orthonormal's input check below
-    drift = _gram_drift(x[:, kept], y[kept])
+    if zero:
+        x[:, zero] = np.linalg.svd(m.b)[2][m.n - len(zero) :].conj().T
+    try:
+        y = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        raise VerificationFailed("U is not unitary: X is singular") from None
+    drift = _gram_drift(x, y)
     if not drift <= recon_tol:
         raise VerificationFailed(
-            f"U is not unitary: |Y X - I| = {drift:.3e} on the columns at "
-            f"nonzero Jordan blocks exceeds {recon_tol:.1e}"
+            f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
         )
-    if zero:
-        keep = [DCVector(x[:, k], y[k]) for k in kept]
-        fresh = extend_orthonormal(keep, m.n, rng, tol=recon_tol)[len(keep) :]
-        x[:, zero] = np.column_stack([w.u for w in fresh])
-        y[zero] = np.vstack([w.v for w in fresh])
     u = DCMatrix(x, y)
     residual = _verified_residual("Jordan SVD", u @ s @ v.star(), m, recon_tol)
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
@@ -477,9 +470,9 @@ def polar(
     """Polar decomposition m = U P obtained from the Jordan SVD.
 
     Exists exactly when the Jordan SVD construction succeeds; errors
-    from ``jordan_svd`` propagate unchanged.
+    from ``jordan_svd`` propagate unchanged.  ``rng`` is ignored.
     """
-    jsvd = jordan_svd(m, tol, rng, recon_tol=recon_tol, cluster_gap=cluster_gap)
+    jsvd = jordan_svd(m, tol, recon_tol=recon_tol, cluster_gap=cluster_gap)
     return _verified_polar(jsvd, m, recon_tol)[0]
 
 
@@ -496,13 +489,14 @@ def pinv(
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> DCMatrix:
-    """Moore-Penrose pseudoinverse via the Jordan SVD: V [J+, J+] U*."""
+    """Moore-Penrose pseudoinverse via the Jordan SVD: V [J+, J+] U*.
+    ``rng`` is accepted for compatibility and ignored."""
     pa = _PairAnalysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd = _jordan_svd(pa, rng, recon_tol)
+    jsvd = _jordan_svd(pa, recon_tol)
     j_pinv = _jordan_pinv(jsvd.s.a, jsvd.blocks)
     k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
     axioms = penrose_check(m, k, recon_tol)
@@ -571,17 +565,18 @@ def attempt_jordan_svd(
     """Full existence flow: necessary conditions, then construction.
 
     Status semantics: ``not_exists`` only when a necessary condition
-    provably fails; ``exists`` only when a factorization was produced
+    provably fails (those of ``jsvd_necessary``, or AB ~ BA when the rank
+    condition fails); ``exists`` only when a factorization was produced
     and verified (constructive route under the rank condition, or the
     Hermitian route); ``unknown`` otherwise - the exact existence
-    boundary is open.
+    boundary is open.  ``rng`` is ignored.
     """
     pa = _PairAnalysis(m, tol, cluster_gap)
-    return _attempt_jordan_svd(pa, rng, recon_tol)
+    return _attempt_jordan_svd(pa, recon_tol)
 
 
 def _attempt_jordan_svd(
-    pa: _PairAnalysis, rng, recon_tol: float = DEFAULT_RECON_TOL
+    pa: _PairAnalysis, recon_tol: float = DEFAULT_RECON_TOL
 ) -> tuple[JordanSVD | None, ExistenceReport]:
     m, ranks, rank_ok = pa.m, pa.ranks, pa.pinv_exists
     nec1, nec2, nec3 = pa.necessary()
@@ -590,10 +585,13 @@ def _attempt_jordan_svd(
     if failed:
         status = JsvdStatus.NOT_EXISTS
         reason = f"necessary condition {failed[0]} fails"
+    elif not rank_ok and not pa.ab_similar_ba():
+        status = JsvdStatus.NOT_EXISTS
+        reason = "AB is not similar to BA"
     else:
         try:
             if rank_ok:
-                jsvd = _jordan_svd(pa, rng, recon_tol)
+                jsvd = _jordan_svd(pa, recon_tol)
             else:
                 jsvd = hermitian_jsvd(
                     m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap

@@ -183,7 +183,7 @@ def run_trial(
     rng = np.random.default_rng(seed)
     pa = _PairAnalysis(generate_pair(profile, n, rng), tol, cluster_gap)
     sim = pa.ab_similar_ba()
-    jsvd, report = _attempt_jordan_svd(pa, np.random.default_rng(seed))
+    jsvd, report = _attempt_jordan_svd(pa)
     status = report.jsvd_status
     blocks = _blocks_as_json(jsvd.blocks) if jsvd is not None else None
     residual = jsvd.residual if jsvd is not None else None
@@ -279,9 +279,9 @@ def uniqueness_scan(
 ) -> UniquenessVerdict:
     """Probe uniqueness of the Jordan factor J for a fixed matrix.
 
-    Reruns the construction with fresh randomness, under random unitary
-    gauges m -> [X,X^-1] m [Y,Y^-1]* (which must not change J), and
-    through the polar-decomposition round trip.  Verdict is ``stable_j``
+    Reruns the construction under random unitary gauges
+    m -> [X,X^-1] m [Y,Y^-1]* (which must not change J), and through
+    the polar-decomposition round trip.  Verdict is ``stable_j``
     unless some repetition produced a different canonical block multiset,
     in which case every witness carries its replay seed.  Block lists are
     compared as ``similar`` compares them: eigenvalue groups match within
@@ -289,8 +289,7 @@ def uniqueness_scan(
     within that distance of two groups of a repetition raises
     ``ClusterAmbiguity``.
     """
-    base = jordan_svd(m, tol, np.random.default_rng(trial_seed(seed, 0)),
-                      cluster_gap=cluster_gap)
+    base = jordan_svd(m, tol, cluster_gap=cluster_gap)
     match_tol = max(cluster_gap * max(m.norm_inf(), 1.0), 10 * tol)
     witnesses = []
 
@@ -319,7 +318,7 @@ def uniqueness_scan(
             @ m
             @ DCMatrix(y, np.linalg.inv(y)).star()
         )
-        alt = jordan_svd(gauge, tol, rng, cluster_gap=cluster_gap)
+        alt = jordan_svd(gauge, tol, cluster_gap=cluster_gap)
         compare(rep, alt.blocks, "unitary_gauge", rep_seed)
 
     verdict = "distinct_j" if witnesses else "stable_j"

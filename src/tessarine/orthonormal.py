@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcnum import DoubleComplex, sqrt_halfplane
-from .dcmatrix import DCMatrix, max_abs
+from .dcmatrix import max_abs
 from .errors import DimensionMismatch, RetryExhausted, ZeroNorm
 
 ZERO_NORM_REL = 1e-9
@@ -176,16 +176,3 @@ def extend_orthonormal(
         stats["retries"] = retries
     return basis
 
-
-def assemble_columns(vectors: list[DCVector]) -> DCMatrix:
-    """Stack double-complex vectors as the columns of a square DCMatrix.
-
-    Column k of [A, B] reads off as (A[:, k], B[k, :]), so the u parts
-    become columns of A and the v parts become rows of B.
-    """
-    d = len(vectors)
-    if d == 0 or any(v.dim != d for v in vectors):
-        raise DimensionMismatch("need exactly d vectors of dimension d")
-    a = np.column_stack([v.u for v in vectors])
-    b = np.vstack([v.v for v in vectors])
-    return DCMatrix(a, b)

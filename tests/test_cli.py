@@ -201,6 +201,22 @@ class TestJsvdCommand:
         recon = u @ s @ v.star()
         assert (recon - m).norm_inf() <= max(doc["residual"], 1e-12) * 1.01
 
+    def test_ab_not_similar_to_ba_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "nsim.json"
+        write_pair(path, [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                   [[1, 0, 0], [0, 0, 0], [1, 0, 0]])
+        code, doc = run_cli(capsys, "jsvd", str(path))
+        assert code == 3
+        assert doc["jsvd_status"] == "not_exists"
+        assert doc["error"] == "AB is not similar to BA"
+
+    @pytest.mark.parametrize("command", ["check", "jsvd", "pinv", "svd", "polar"])
+    def test_pair_commands_take_no_seed(self, tmp_path, capsys, command):
+        path, _ = invertible_file(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, path, "--seed", "1"])
+        assert exit_info.value.code == 2
+
     def test_unknown_region_exit_4(self, tmp_path, capsys):
         path = tmp_path / "unk.json"
         write_pair(path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))

@@ -53,6 +53,14 @@ def counterexample_pair():
     return DCMatrix(np.diag([0.0, 1.0]), np.array([[0, 1], [0, 0]]))
 
 
+def ab_not_similar_ba_pair():
+    """AB is a nonzero nilpotent, BA = 0: conditions (T, T, T), AB !~ BA."""
+    return DCMatrix(
+        np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex),
+        np.array([[1, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex),
+    )
+
+
 def blocks_close(got, want, tol=1e-8):
     if len(got) != len(want):
         return False
@@ -311,6 +319,18 @@ class TestAttempt:
         assert report.jsvd_status is JsvdStatus.UNKNOWN
         assert report.jsvd_nec2 is True and report.jsvd_nec3 is True
         assert report.reason.startswith("ClusterAmbiguity:")
+
+    def test_non_similarity_proves_nonexistence(self):
+        # ranks (1, 1, 1, 0): the rank condition fails and conditions 1-3
+        # hold, but AB ~ BA, which a Jordan SVD implies, does not
+        jsvd, report = attempt_jordan_svd(ab_not_similar_ba_pair())
+        assert jsvd is None
+        assert (report.rank_a, report.rank_b, report.rank_ab, report.rank_ba) == (
+            1, 1, 1, 0
+        )
+        assert report.jsvd_nec1 and report.jsvd_nec2 and report.jsvd_nec3
+        assert report.jsvd_status is JsvdStatus.NOT_EXISTS
+        assert report.reason == "AB is not similar to BA"
 
     def test_invertible_exists(self):
         rng = np.random.default_rng(14)
@@ -744,11 +764,65 @@ class TestUnitarityGate:
             assert report.reason.startswith("VerificationFailed: U is not unitary")
 
     def test_near_double_eigenvalue_stays_in_the_hierarchy(self):
-        # the kept columns are checked at recon_tol, by the gate and by
-        # extend_orthonormal alike: no ValueError escapes
+        # all of U = [X, X^-1] is checked at recon_tol by the one gate:
+        # no error outside the hierarchy escapes
         jsvd, report = attempt_jordan_svd(near_double_pair(), cluster_gap=1e-10)
         assert report.jsvd_status is JsvdStatus.EXISTS
         assert jsvd.u.is_unitary(1e-7)
+
+
+def zero_block_columns(blocks):
+    return [span.start for lam, span in complex_linalg._block_spans(blocks) if lam == 0]
+
+
+class TestUnitaryByConstruction:
+    """U = [X, X^-1] with ker B at J's zero blocks: no random draw."""
+
+    PAIRS = {
+        "diagonal": lambda: DCMatrix(np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 2.0, 0.0])),
+        "rank_condition": lambda: rank_condition_pair(6, np.random.default_rng(3), r=3),
+    }
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_factors_do_not_depend_on_the_rng(self, name):
+        m = self.PAIRS[name]()
+        first, second = (jordan_svd(m, rng=np.random.default_rng(s)) for s in (0, 1))
+        assert zero_block_columns(first.blocks)
+        assert np.array_equal(first.u.a, second.u.a)
+        assert np.array_equal(first.u.b, second.u.b)
+        first, second = (polar(m, rng=np.random.default_rng(s)) for s in (0, 1))
+        assert np.array_equal(first.unitary_factor.a, second.unitary_factor.a)
+        assert np.array_equal(first.unitary_factor.b, second.unitary_factor.b)
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_zero_block_columns_span_ker_b(self, name):
+        m = self.PAIRS[name]()
+        jsvd = jordan_svd(m)
+        zero = zero_block_columns(jsvd.blocks)
+        assert len(zero) == m.n - rank_quadruple(m)[1]
+        assert max_abs(m.b @ jsvd.u.a[:, zero]) <= 1e-12 * max_abs(m.b)
+
+    def test_singular_x_is_refused_inside_the_hierarchy(self, monkeypatch):
+        # X = 0 at the nonzero blocks: inverting it fails
+        monkeypatch.setattr(
+            decompositions, "_jordan_pinv", lambda j, blocks: np.zeros_like(j)
+        )
+        jsvd, report = attempt_jordan_svd(self.PAIRS["diagonal"]())
+        assert jsvd is None
+        assert report.jsvd_status is JsvdStatus.UNKNOWN
+        assert report.reason == "VerificationFailed: U is not unitary: X is singular"
+
+    def test_corpus_u_is_unitary_both_ways(self):
+        rng = np.random.default_rng(5)
+        for trial in range(50):
+            n = (2, 4, 6, 8, 16)[trial % 5]
+            m = rank_condition_pair(n, rng, r=int(rng.integers(1, n)))
+            jsvd = jordan_svd(m)
+            assert zero_block_columns(jsvd.blocks), trial
+            eye = np.eye(n)
+            drift = max(max_abs(jsvd.u.b @ jsvd.u.a - eye),
+                        max_abs(jsvd.u.a @ jsvd.u.b - eye))
+            assert drift <= 1e-12, trial
 
 
 class TestPairAnalysedOnce:

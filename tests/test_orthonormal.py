@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from tessarine.dcmatrix import DCMatrix
 from tessarine.dcnum import DoubleComplex
 from tessarine.errors import RetryExhausted, ZeroNorm
 from tessarine.orthonormal import (
     DCVector,
-    assemble_columns,
     extend_orthonormal,
     gram_schmidt_step,
     inner_product,
@@ -137,7 +137,10 @@ class TestExtend:
         rng = np.random.default_rng(8)
         for d in (1, 2, 4, 6):
             basis = extend_orthonormal([], d, rng)
-            assert assemble_columns(basis).is_unitary(1e-8)
+            u = DCMatrix(
+                np.column_stack([v.u for v in basis]), np.vstack([v.v for v in basis])
+            )
+            assert u.is_unitary(1e-8)
 
     def test_first_draw_success_rate(self):
         rng = np.random.default_rng(9)
