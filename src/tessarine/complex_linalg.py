@@ -172,9 +172,18 @@ def pinv_complex(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_indices(eigs: np.ndarray, gap: float) -> list[list[int]]:
-    """Single-linkage clustering of eigenvalues at threshold ``gap``."""
-    n = len(eigs)
+def _cluster_indices(dist: list[list[float]], gap: float) -> list[list[int]]:
+    """Single-linkage clustering at threshold ``gap`` of the eigenvalues
+    whose pairwise distances are ``dist``, clusters ordered by their first
+    member.
+
+    Distinct clusters must be at least SEPARATION_FACTOR * gap apart;
+    otherwise ``ClusterAmbiguity`` reports the first pair of clusters in
+    that order that is closer, with its distance.  Only eigenvalue pairs
+    inside the band (gap, SEPARATION_FACTOR * gap) can be such a pair.
+    """
+    n = len(dist)
+    band = SEPARATION_FACTOR * gap
     parent = list(range(n))
 
     def find(i):
@@ -183,30 +192,31 @@ def _cluster_indices(eigs: np.ndarray, gap: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
+    near = []
+    for i, row in enumerate(dist):
         for k in range(i + 1, n):
-            if abs(eigs[i] - eigs[k]) <= gap:
+            if row[k] <= gap:
                 ri, rk = find(i), find(k)
                 if ri != rk:
                     parent[rk] = ri
+            elif row[k] < band:
+                near.append((i, k))
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _check_separation(eigs: np.ndarray, clusters: list[list[int]], gap: float):
-    for i in range(len(clusters)):
-        for k in range(i + 1, len(clusters)):
-            d = min(
-                abs(eigs[ci] - eigs[ck]) for ci in clusters[i] for ck in clusters[k]
+    clusters = list(groups.values())
+    if near:
+        label = {i: c for c, idx in enumerate(clusters) for i in idx}
+        crossing = sorted(
+            (min(label[i], label[k]), max(label[i], label[k]), dist[i][k])
+            for i, k in near if label[i] != label[k]
+        )
+        if crossing:
+            raise ClusterAmbiguity(
+                f"eigenvalue clusters separated by {crossing[0][2]:.3e}, inside "
+                f"the ambiguity band ({gap:.3e}, {band:.3e}); adjust cluster_gap"
             )
-            if d < SEPARATION_FACTOR * gap:
-                raise ClusterAmbiguity(
-                    f"eigenvalue clusters separated by {d:.3e}, inside the "
-                    f"ambiguity band ({gap:.3e}, {SEPARATION_FACTOR * gap:.3e}); "
-                    "adjust cluster_gap"
-                )
+    return clusters
 
 
 def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
@@ -237,7 +247,10 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     staircase of e, with singular values up to ``zero`` counted as zero,
     must stop at exactly ``mult`` dimensions.  Returns one n x size array
     per chain, columns ordered eigenvector first, so that e maps column
-    i+1 to column i.
+    i+1 to column i.  The generators of all chains of one height come from
+    one SVD as unit columns, so a semisimple cluster (a staircase of one
+    level) takes its chains from one basis; a longer chain is scaled by the
+    norms of its two end columns.
     """
     bases = _kernel_staircase(e, 0.0, zero, stop=mult)
     if bases[-1].shape[1] != mult:
@@ -250,45 +263,42 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     if sum(sizes) != mult:
         raise ClusterAmbiguity("invalid nullity profile for a Jordan structure")
 
-    generators: list[tuple[np.ndarray, int]] = []
-    active: list[np.ndarray] = []
+    chains: list[np.ndarray] = []
+    active = bases[0][:, :0]
     for k in range(len(bases), 0, -1):
         need = sizes.count(k)
         if need > 0:
-            obstruction = [bases[k - 2]] if k >= 2 else []
-            if active:
-                obstruction.append(np.column_stack(active))
-            if obstruction:
-                q = _orth_columns(np.hstack(obstruction))
-                cand = bases[k - 1] - q @ (q.conj().T @ bases[k - 1])
-            else:
-                cand = bases[k - 1]
+            obstruction = np.hstack([bases[k - 2], active]) if k >= 2 else active
+            cand = bases[k - 1]
+            if obstruction.shape[1]:
+                q = _orth_columns(obstruction)
+                cand = cand - q @ (q.conj().T @ cand)
             u, sv, _ = np.linalg.svd(cand, full_matrices=False)
             if len(sv) < need or sv[need - 1] < 1e-6:
                 raise ClusterAmbiguity("could not separate Jordan chain generators")
-            for i in range(need):
-                generators.append((u[:, i].copy(), k))
-                active.append(u[:, i])
-        if k > 1:
+            gens = u[:, :need]
+            members = [gens]
+            # a long chain at a large scale can overflow; it is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(k - 1):
+                    members.append(e @ members[-1])
+                # generators are unit columns; an eigenvector end may be at any scale
+                tops = np.linalg.norm(gens, axis=0)
+                ends = tops if k == 1 else [_scaled_norm(v) for v in members[-1].T]
+                norm2 = tops * ends
+            for value in norm2.tolist():
+                if not 0 < value < math.inf:
+                    raise ClusterAmbiguity(
+                        f"degenerate Jordan chain (norm product {value:.3e})"
+                    )
+            # n x need x k, eigenvectors first
+            level = np.stack(members[::-1], axis=2) / np.sqrt(norm2)[:, None]
+            chains += [level[:, i] for i in range(need)]
+            active = np.hstack([active, gens])
+        if k > 1 and active.shape[1]:
             # only their span matters: max-modulus 1 keeps it finite at any scale
-            active = [v / max_abs(v) for v in (e @ w for w in active)]
-
-    chains = []
-    for g, height in sorted(generators, key=lambda t: -t[1]):
-        members = [g]
-        # a long chain at a large scale can overflow; it is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(height - 1):
-                members.append(e @ members[-1])
-            members.reverse()  # eigenvector first
-            chain = np.column_stack(members)
-            norm2 = _scaled_norm(chain[:, 0]) * _scaled_norm(chain[:, -1])
-        if not 0 < norm2 < math.inf:
-            raise ClusterAmbiguity(
-                f"degenerate Jordan chain (norm product {norm2:.3e})"
-            )
-        chain /= np.sqrt(norm2)
-        chains.append(chain)
+            active = e @ active
+            active /= np.abs(active).max(axis=0)
     return chains
 
 
@@ -348,24 +358,20 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
     gap = cluster_gap * scale
 
     eigs, vecs = np.linalg.eig(a)
-    clusters = _cluster_indices(eigs, gap)
-    _check_separation(eigs, clusters, gap)
-    # a cluster of one reads its eigenvalue; + 0j maps -0.0 to +0.0 as np.mean
-    means = [
-        complex(eigs[idx[0]]) + 0j if len(idx) == 1 else complex(np.mean(eigs[idx]))
-        for idx in clusters
-    ]
+    clusters = _cluster_indices(np.abs(eigs[:, None] - eigs[None, :]).tolist(), gap)
+    unit = vecs / np.linalg.norm(vecs, axis=0)
 
     max_spread = 0.0
     blocks: list[tuple[complex, int]] = []
     columns: list[np.ndarray] = []
-    for idx, lam in zip(clusters, means):
+    for idx in clusters:
         if len(idx) == 1:
-            # a simple eigenvalue: its chain is its unit eigenvector
-            v = vecs[:, idx[0]]
-            columns.append((v / np.linalg.norm(v))[:, None])
-            blocks.append((lam, 1))
+            # a simple eigenvalue: its chain is its unit eigenvector;
+            # + 0j maps -0.0 to +0.0 as np.mean does
+            columns.append(unit[:, idx[0] : idx[0] + 1])
+            blocks.append((complex(eigs[idx[0]]) + 0j, 1))
             continue
+        lam = complex(np.mean(eigs[idx]))
         spread = float(max(abs(eigs[i] - lam) for i in idx))
         max_spread = max(max_spread, spread)
         zero = SEPARATION_FACTOR * max(spread, 1e-12 * scale)
@@ -424,22 +430,33 @@ def sqrt_jordan_factors(
 ) -> tuple[np.ndarray, JordanForm]:
     """Half-plane primary square root along with its own Jordan form.
 
-    The input must have no non-trivially nilpotent Jordan blocks (every
-    block invertible, or a 1x1 zero); otherwise ``NilpotentBlock`` is
-    raised.  The root's Jordan form is constructed structurally from the
-    input's, so only one eigenvalue clustering is ever performed, and the
-    root is read off that form: the residual gate checks the form itself.
+    The input's zero Jordan blocks are its n - ``rank(a)`` blocks of least
+    modulus, the rank's zero rule deciding which eigenvalues are zero; each
+    must be a 1x1 block, otherwise ``NilpotentBlock`` is raised.  The
+    root's Jordan form is constructed structurally from the input's, so
+    only one eigenvalue clustering is ever performed, and the root is read
+    off that form: the residual gate checks the form itself.
     """
     a = _as_square(a)
+    return _sqrt_jordan(a, cluster_gap, rank(a))[:2]
+
+
+def _sqrt_jordan(
+    a: np.ndarray, cluster_gap: float, rank_a: int
+) -> tuple[np.ndarray, JordanForm, np.ndarray]:
+    """``sqrt_jordan_factors`` of an a of rank ``rank_a``, with the inverse
+    of the root's Jordan basis as a third value."""
     jf = jordan_decomposition(a, cluster_gap=cluster_gap)
     scale = max_abs(a)
-    zero_tol = cluster_gap * scale
+    axis_tol = cluster_gap * scale
+    by_modulus = sorted(range(len(jf.blocks)), key=lambda i: abs(jf.blocks[i][0]))
+    zero = set(by_modulus[: a.shape[0] - rank_a])
 
     root_blocks: list[tuple[complex, int]] = []
     cols: list[np.ndarray] = []
-    for lam, span in _block_spans(jf.blocks):
+    for i, (lam, span) in enumerate(_block_spans(jf.blocks)):
         size = span.stop - span.start
-        if abs(lam) <= zero_tol:
+        if i in zero:
             if size > 1:
                 raise NilpotentBlock(
                     f"non-trivially nilpotent Jordan block of size {size}; "
@@ -448,7 +465,7 @@ def sqrt_jordan_factors(
             root_blocks.append((0j, 1))
             cols.append(jf.p[:, span])
         else:
-            mu = halfplane_sqrt(lam, zero_tol)
+            mu = halfplane_sqrt(lam, axis_tol)
             root_blocks.append((mu, size))
             # a 1x1 block's chain basis is [[1]]
             cols.append(jf.p[:, span] if size == 1
@@ -457,7 +474,8 @@ def sqrt_jordan_factors(
     # canonical re-sort of the root's blocks (sqrt reshuffles the order)
     blocks, p_root = _canonical_order(root_blocks, cols)
     root_jf = JordanForm(p_root, jordan_matrix(blocks), blocks)
-    root = p_root @ root_jf.j @ np.linalg.inv(p_root)
+    p_inv = np.linalg.inv(p_root)
+    root = p_root @ root_jf.j @ p_inv
 
     residual = max_abs(root @ root - a)
     if residual > SQRT_RECON_TOL * scale:
@@ -465,7 +483,7 @@ def sqrt_jordan_factors(
             f"square-root residual {residual:.3e} exceeds "
             f"{SQRT_RECON_TOL:.1e} * scale; input structure unresolved"
         )
-    return root, root_jf
+    return root, root_jf, p_inv
 
 
 def sqrt_via_jordan(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> np.ndarray:

@@ -26,11 +26,11 @@ from .complex_linalg import (
     jordan_decomposition,
     jordan_matrix,
     rank,
-    sqrt_jordan_factors,
     _block_spans,
     _canonical_order,
     _image_and_kernel,
     _kernel_staircase,
+    _sqrt_jordan,
     _staircase_sizes,
     _sv_rank,
 )
@@ -299,17 +299,15 @@ def naive_dc_svd(
 # ---------------------------------------------------------------------------
 
 
-def _jordan_pinv(j: np.ndarray, blocks: Blocks) -> np.ndarray:
-    """Blockwise pseudoinverse of the canonical Jordan matrix j of blocks.
+def _jordan_pinv(j: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a canonical Jordan matrix j in one inversion.
 
-    Valid when every block is invertible or the 1x1 zero: invertible
-    blocks invert, zero blocks stay zero.
+    Valid when every block is invertible or the 1x1 zero: a zero block is
+    a zero row and column of j, so j with a one in its place inverts to
+    j's blockwise inverse with a one there, which is then removed.
     """
-    out = np.zeros_like(j)
-    for lam, span in _block_spans(blocks):
-        if lam != 0:
-            out[span, span] = np.linalg.inv(j[span, span])
-    return out
+    ones = np.diag(np.diag(j) == 0)
+    return np.linalg.inv(j + ones) - ones
 
 
 def jordan_svd(
@@ -335,20 +333,22 @@ def jordan_svd(
         raise PreconditionFailed(
             f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    return _jordan_svd(pa, recon_tol)
+    return _jordan_svd(pa, recon_tol)[0]
 
 
-def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
-    """``jordan_svd`` of a pair known to meet the rank condition."""
+def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, np.ndarray]:
+    """``jordan_svd`` of a pair known to meet the rank condition, with J+."""
     m = pa.m
-    _, root_jf = sqrt_jordan_factors(pa.products["ba"], cluster_gap=pa.cluster_gap)
+    # J's zero blocks are the n - rank BA that the rank quadruple counts
+    _, root_jf, p_inv = _sqrt_jordan(pa.products["ba"], pa.cluster_gap, pa.ranks[3])
     p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
-    v = DCMatrix(p, np.linalg.inv(p))
+    v = DCMatrix(p, p_inv)
     s = DCMatrix(j, j)
+    j_pinv = _jordan_pinv(j)
 
     # A P = X J fixes X at J's nonzero blocks; B X = P J puts ker B, the
     # right singular vectors of B's n - rank B smallest, at its zero blocks
-    x = m.a @ p @ _jordan_pinv(j, blocks)
+    x = m.a @ p @ j_pinv
     zero = [span.start for lam, span in _block_spans(blocks) if lam == 0]
     if zero:
         x[:, zero] = np.linalg.svd(m.b)[2][m.n - len(zero) :].conj().T
@@ -363,7 +363,7 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
         )
     u = DCMatrix(x, y)
     residual = _verified_residual("Jordan SVD", u @ s @ v.star(), m, recon_tol)
-    return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
+    return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual), j_pinv
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +383,16 @@ def _halfplane_normalized_factors(
     """
     jf = jordan_decomposition(h, cluster_gap=cluster_gap)
     axis_tol = cluster_gap * max(max_abs(h), 1e-300)
-    entries = []  # (block, w_cols, z_cols)
-    for lam, span in _block_spans(jf.blocks):
-        q_cols = jf.p[:, span]
-        size = q_cols.shape[1]
-        alt = np.diag([(-1.0) ** i for i in range(size)]).astype(complex)
-        if in_halfplane(lam, axis_tol):
-            entries.append(((lam, size), q_cols, q_cols))
-        else:
-            entries.append(((-lam, size), q_cols @ (-alt), q_cols @ alt))
-    return _canonical_order(*zip(*entries))
+    blocks, z_signs, flips = [], [], []
+    for lam, size in jf.blocks:
+        flip = not in_halfplane(lam, axis_tol)
+        blocks.append((-lam if flip else lam, size))
+        z_signs += [(-1.0) ** i if flip else 1.0 for i in range(size)]
+        flips += [-1.0 if flip else 1.0] * size
+    z = jf.p * z_signs
+    w = z * flips
+    spans = [span for _, span in _block_spans(jf.blocks)]
+    return _canonical_order(blocks, [w[:, c] for c in spans], [z[:, c] for c in spans])
 
 
 def polar_to_jsvd(
@@ -496,8 +496,7 @@ def pinv(
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd = _jordan_svd(pa, recon_tol)
-    j_pinv = _jordan_pinv(jsvd.s.a, jsvd.blocks)
+    jsvd, j_pinv = _jordan_svd(pa, recon_tol)
     k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
     axioms = penrose_check(m, k, recon_tol)
     if not all(axioms):
@@ -591,7 +590,7 @@ def _attempt_jordan_svd(
     else:
         try:
             if rank_ok:
-                jsvd = _jordan_svd(pa, recon_tol)
+                jsvd = _jordan_svd(pa, recon_tol)[0]
             else:
                 jsvd = hermitian_jsvd(
                     m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap

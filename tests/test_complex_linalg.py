@@ -177,6 +177,19 @@ class TestJordan:
         jf = jordan_decomposition(a, cluster_gap=1e-4)
         assert sorted(s for _, s in jf.blocks) == [1, 1, 1]
 
+    def test_first_violating_cluster_pair_is_reported(self):
+        # three clusters, the last of two eigenvalues 5e-7 apart; the
+        # first pair (9e-6 apart) and the first and last (6e-6 apart)
+        # are inside the band: the first pair in loop order is reported,
+        # not the closest
+        a = np.diag([1 + 9e-6, 1, 1 + 1.5e-5, 1 + 1.55e-5]).astype(complex)
+        with pytest.raises(ClusterAmbiguity) as info:
+            jordan_decomposition(a)
+        assert str(info.value) == (
+            "eigenvalue clusters separated by 9.000e-06, inside the ambiguity "
+            "band (1.000e-06, 1.000e-05); adjust cluster_gap"
+        )
+
 
 class TestSchurOnlyForRepeatedClusters:
     """Simple eigenvalues take their eig vectors; only repeated ones reach

@@ -805,7 +805,7 @@ class TestUnitaryByConstruction:
     def test_singular_x_is_refused_inside_the_hierarchy(self, monkeypatch):
         # X = 0 at the nonzero blocks: inverting it fails
         monkeypatch.setattr(
-            decompositions, "_jordan_pinv", lambda j, blocks: np.zeros_like(j)
+            decompositions, "_jordan_pinv", lambda j: np.zeros_like(j)
         )
         jsvd, report = attempt_jordan_svd(self.PAIRS["diagonal"]())
         assert jsvd is None
@@ -823,6 +823,44 @@ class TestUnitaryByConstruction:
             drift = max(max_abs(jsvd.u.b @ jsvd.u.a - eye),
                         max_abs(jsvd.u.a @ jsvd.u.b - eye))
             assert drift <= 1e-12, trial
+
+
+class TestRootZeroRule:
+    """J has exactly n - rank(BA) zero blocks: a small nonzero eigenvalue of
+    an invertible BA gets its square root, not root 0."""
+
+    @pytest.mark.parametrize("diag", [(1.0, 5e-7), (1000.0, 5e-4)])
+    def test_small_eigenvalue_of_invertible_pair(self, diag):
+        m = DCMatrix(np.eye(2), np.diag(diag))
+        assert rank_quadruple(m) == (2, 2, 2, 2)
+        assert all(penrose_check(m, pinv(m)))
+        jsvd, report = attempt_jordan_svd(m)
+        assert report.jsvd_status is JsvdStatus.EXISTS
+        assert all(lam != 0 for lam, _ in jsvd.blocks)
+
+
+class TestInversesPerCall:
+    """One inverse per similarity: the Jordan basis of BA, the root's basis
+    (shared by V), J's nonzero blocks (shared by pinv) and X."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+        original = np.linalg.inv
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("factor", [pinv, polar])
+    def test_at_most_four(self, inversions, factor, n):
+        m = rank_condition_pair(n, np.random.default_rng(n), r=n // 2)
+        factor(m)
+        assert len(inversions) <= 4
 
 
 class TestPairAnalysedOnce:
