@@ -86,28 +86,26 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     return _sv_rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
-def _sv_rank(
-    s: np.ndarray, tol: float, floor: float = 0.0, sigma1: float | None = None
-) -> int:
+def _sv_rank(s: np.ndarray, tol: float, sigma1: float | None = None) -> int:
     """The zero rule: how many singular values in s are nonzero.
 
-    A singular value is nonzero when it is above max(tol * sigma1, floor),
-    where sigma1 is the norm of the matrix the tolerance is relative to;
-    it defaults to s[0], the largest, as numpy returns s descending.
+    A singular value is nonzero when it is above tol * sigma1, sigma1 the
+    scale of what s is computed from: s[0], the largest, by default, or
+    sigma1(A) * sigma1(B) for a product AB.  No absolute term enters.
     """
     sigma1 = s[0] if sigma1 is None else sigma1
-    return int(np.count_nonzero(s > max(tol * sigma1, floor)))
+    return int(np.count_nonzero(s > tol * sigma1))
 
 
 def _kernel_staircase(
-    x: np.ndarray, tol: float, floor: float = 0.0, stop: int | None = None
+    x: np.ndarray, tol: float, norm: float | None = None, stop: int | None = None
 ) -> list[np.ndarray]:
     """Orthonormal bases of ker x^k for k = 1, 2, ... while it grows.
 
     ker x^k is the kernel of x projected off ker x^(k-1), so no power of
     x is formed.  A singular value counts as zero when it is at most
-    max(tol * ||x||_2, floor), at every step; with floor 0 the first
-    basis therefore has n - ``rank(x, tol)`` columns.  The staircase
+    tol * ``norm``, at every step; ``norm`` defaults to ||x||_2, so the
+    first basis then has n - ``rank(x, tol)`` columns.  The staircase
     also stops once a kernel reaches ``stop`` (default n) dimensions.
     """
     n = x.shape[0]
@@ -116,9 +114,9 @@ def _kernel_staircase(
     bases: list[np.ndarray] = []
     while True:
         _, s, vh = np.linalg.svd(x - kernel @ (kernel.conj().T @ x))
-        if not bases:
+        if norm is None:
             norm = s[0]
-        r = _sv_rank(s, tol, floor, norm)
+        r = _sv_rank(s, tol, norm)
         if bases and n - r <= kernel.shape[1]:
             return bases
         kernel = vh[r:].conj().T
@@ -252,7 +250,7 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     level) takes its chains from one basis; a longer chain is scaled by the
     norms of its two end columns.
     """
-    bases = _kernel_staircase(e, 0.0, zero, stop=mult)
+    bases = _kernel_staircase(e, 1.0, zero, stop=mult)
     if bases[-1].shape[1] != mult:
         raise ClusterAmbiguity(
             f"generalized eigenspace of dimension {bases[-1].shape[1]} for a "
@@ -511,8 +509,8 @@ def _group_blocks(blocks: Blocks) -> list[tuple[complex, tuple[int, ...]]]:
 def similar(a, b, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> bool:
     """Do a and b share a canonical Jordan structure?
 
-    Eigenvalues are matched across the two matrices at the clustering
-    gap; an ambiguous matching raises ``ClusterAmbiguity``.
+    Eigenvalues are matched within cluster_gap times the larger of the two
+    scales; an ambiguous matching raises ``ClusterAmbiguity``.
     """
     a = _as_square(a)
     b = _as_square(b)
@@ -520,7 +518,7 @@ def similar(a, b, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> bool:
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
     fa = jordan_decomposition(a, cluster_gap=cluster_gap)
     fb = jordan_decomposition(b, cluster_gap=cluster_gap)
-    match_tol = cluster_gap * max(max_abs(a), max_abs(b), 1e-300)
+    match_tol = cluster_gap * max(max_abs(a), max_abs(b))
     return _same_structure(fa.blocks, fb.blocks, match_tol)
 
 

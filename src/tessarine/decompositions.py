@@ -110,10 +110,11 @@ class ExistenceReport:
 class _PairAnalysis:
     """The facts every decision about one pair [A, B] is made from.
 
-    AB, BA and the rank quadruple are computed on construction; the
-    kernel staircases of AB and BA, which decide AB ~ BA and the
-    square-root conditions, once each, when first asked for.  No Jordan
-    form is computed here: only the construction of factors needs one.
+    AB, BA and the rank quadruple are computed on construction, AB and BA
+    ranked against sigma1(A) * sigma1(B), the scale they are computed from;
+    their kernel staircases, at that scale, once each when first asked for:
+    they decide AB ~ BA and the square-root conditions.  No Jordan form is
+    computed here: only the construction of factors needs one.
 
     Construction raises ``NonFiniteInput`` when the pair, AB or BA has a
     NaN or infinite entry: products of finite matrices can overflow, and
@@ -131,7 +132,10 @@ class _PairAnalysis:
         if not (np.isfinite(ab).all() and np.isfinite(ba).all()):
             raise NonFiniteInput("AB or BA has a non-finite entry (overflow)")
         self.products = {"ab": ab, "ba": ba}
-        self.ranks = tuple(rank(x, tol) for x in (m.a, m.b, ab, ba))
+        sv = [np.linalg.svd(x, compute_uv=False) for x in (m.a, m.b, ab, ba)]
+        self.scale = sv[0][0] * sv[1][0]
+        refs = (None, None, self.scale, self.scale)
+        self.ranks = tuple(_sv_rank(s, tol, ref) for s, ref in zip(sv, refs))
         self.pinv_exists = len(set(self.ranks)) == 1
         self._nullities: dict[str, list[int]] = {}
 
@@ -143,7 +147,7 @@ class _PairAnalysis:
             x = self.products[product]
             self._nullities[product] = (
                 [n - r] if r in (0, n)
-                else [basis.shape[1] for basis in _kernel_staircase(x, self.tol)]
+                else [b.shape[1] for b in _kernel_staircase(x, self.tol, self.scale)]
             )
         return self._nullities[product]
 
@@ -170,9 +174,9 @@ def _verified_residual(
     what: str, approx: DCMatrix, target: DCMatrix, recon_tol: float
 ) -> float:
     """max-modulus residual of approx against target, or ``VerificationFailed``
-    when it exceeds recon_tol relative to the scale of target."""
+    unless it is at most recon_tol times the finite scale of target."""
     residual = (approx - target).norm_inf()
-    if residual > recon_tol * max(target.norm_inf(), 1e-300):
+    if not residual <= recon_tol * target.norm_inf() < math.inf:
         raise VerificationFailed(
             f"{what} residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
         )
@@ -180,8 +184,8 @@ def _verified_residual(
 
 
 def _is_hermitian(m: DCMatrix, tol: float) -> bool:
-    """Is m of the form [A, A], up to tol relative to its scale (at least 1)?"""
-    return m.is_hermitian(tol * max(1.0, m.norm_inf()))
+    """Is m of the form [A, A], up to tol relative to its scale?"""
+    return m.is_hermitian(tol * m.norm_inf())
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,7 @@ def naive_dc_svd(
     if _sv_rank(sv, DIAGONALIZABLE_RTOL) < n:
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
     d = np.array([halfplane_sqrt(x) for x in lam])
-    if np.min(np.abs(d)) <= np.sqrt(tol) * max(np.max(np.abs(d)), 1e-300):
+    if np.min(np.abs(d)) <= np.sqrt(tol) * np.max(np.abs(d)):
         raise SingularComponent("diagonal factor D is singular; coupling fails")
     q = np.linalg.solve(m.a, pvec * d)  # A^-1 P D
     u = DCMatrix(pvec, np.linalg.inv(pvec))
@@ -374,15 +378,15 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, np.ndar
 def _halfplane_normalized_factors(
     h: np.ndarray, cluster_gap: float
 ) -> tuple[Blocks, np.ndarray, np.ndarray]:
-    """Factor a complex matrix h as h = W Jt Z^-1 with [h,h] = [W,W^-1][Jt,Jt][Z,Z^-1]*.
+    """Factor h = W Jt Z^-1 with [h,h] = [W,W^-1][Jt,Jt][Z,Z^-1]*, W = Z * E.
 
-    Jt is canonical Jordan with half-plane eigenvalues.  Blocks whose
-    eigenvalue falls outside the half-plane are sign-flipped; the flip is
-    absorbed by the unitary [E,E] (E = +/-1 per block) together with the
+    Returns Jt's blocks, Z and E.  Jt is canonical Jordan with half-plane
+    eigenvalues: a block whose eigenvalue falls outside is sign-flipped, the
+    flip absorbed by the unitary [E,E] (E a row of +/-1 per block) and the
     alternating-sign similarity that restores unit superdiagonals.
     """
     jf = jordan_decomposition(h, cluster_gap=cluster_gap)
-    axis_tol = cluster_gap * max(max_abs(h), 1e-300)
+    axis_tol = cluster_gap * max_abs(h)
     blocks, z_signs, flips = [], [], []
     for lam, size in jf.blocks:
         flip = not in_halfplane(lam, axis_tol)
@@ -390,9 +394,9 @@ def _halfplane_normalized_factors(
         z_signs += [(-1.0) ** i if flip else 1.0 for i in range(size)]
         flips += [-1.0 if flip else 1.0] * size
     z = jf.p * z_signs
-    w = z * flips
+    e = np.array([flips])
     spans = [span for _, span in _block_spans(jf.blocks)]
-    return _canonical_order(blocks, [w[:, c] for c in spans], [z[:, c] for c in spans])
+    return _canonical_order(blocks, [z[:, c] for c in spans], [e[:, c] for c in spans])
 
 
 def polar_to_jsvd(
@@ -412,14 +416,15 @@ def polar_to_jsvd(
     if not _is_hermitian(hf, tol):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
-    blocks, w, z = _halfplane_normalized_factors(h, cluster_gap)
+    blocks, z, e = _halfplane_normalized_factors(h, cluster_gap)
     jt = jordan_matrix(blocks)
-    u = pd.unitary_factor @ DCMatrix(w, np.linalg.inv(w))
     s = DCMatrix(jt, jt)
     v = DCMatrix(z, np.linalg.inv(z))
-    residual = _verified_residual(
-        "polar-to-JSVD", u @ s @ v.star(), pd.reconstruct(), recon_tol
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
+        u = pd.unitary_factor @ DCMatrix(z * e, e.T * v.b)  # W^-1 = E Z^-1
+        residual = _verified_residual(
+            "polar-to-JSVD", u @ s @ v.star(), pd.reconstruct(), recon_tol
+        )
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 
 
@@ -536,14 +541,15 @@ def _reverse_diagram(
     """Build the inverse map x with x (a @ source) = source and x kernel = 0."""
     n = a.shape[0]
     mapped = a @ source_image
-    stack = np.hstack([mapped, kernel])
+    unit = np.ldexp(1.0, np.frexp(max_abs(mapped))[1])  # exact: a's scale drops out
+    stack = np.hstack([mapped / unit, kernel])
     if stack.shape[1] != n:
         raise NoPseudoinverse(f"direct sum {name} has wrong dimension")
     sv = np.linalg.svd(stack, compute_uv=False)
-    if _sv_rank(sv, tol, 1e-300) < n:
+    if _sv_rank(sv, tol) < n:
         raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
     target = np.hstack(
-        [source_image, np.zeros((n, kernel.shape[1]), dtype=complex)]
+        [source_image / unit, np.zeros((n, kernel.shape[1]), dtype=complex)]
     )
     return target @ np.linalg.inv(stack)
 

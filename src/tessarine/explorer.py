@@ -285,12 +285,12 @@ def uniqueness_scan(
     unless some repetition produced a different canonical block multiset,
     in which case every witness carries its replay seed.  Block lists are
     compared as ``similar`` compares them: eigenvalue groups match within
-    max(cluster_gap * max(|m|, 1), 10 * tol), and an eigenvalue of J
-    within that distance of two groups of a repetition raises
+    cluster_gap * |m|, which scales with J as m does, and an eigenvalue
+    of J within that distance of two groups of a repetition raises
     ``ClusterAmbiguity``.
     """
     base = jordan_svd(m, tol, cluster_gap=cluster_gap)
-    match_tol = max(cluster_gap * max(m.norm_inf(), 1.0), 10 * tol)
+    match_tol = cluster_gap * m.norm_inf()
     witnesses = []
 
     def compare(rep: int, blocks, route: str, rep_seed: int):

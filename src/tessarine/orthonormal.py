@@ -98,7 +98,7 @@ def normalize(w: DCVector, tol: float = ZERO_NORM_REL) -> DCVector:
     below ``tol`` relative to the vector's squared magnitude scale.
     """
     norm2 = inner_product(w, w)
-    cutoff = tol * max(w.max_abs() ** 2, 1e-300)
+    cutoff = tol * w.max_abs() ** 2
     if abs(norm2.p) <= cutoff or abs(norm2.q) <= cutoff:
         raise ZeroNorm("vector has (numerically) zero norm; cannot normalize")
     return w.scale(sqrt_halfplane(norm2).inverse())

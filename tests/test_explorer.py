@@ -168,6 +168,13 @@ class TestUniqueness:
         got = sorted((round(l[0]), round(l[1]), l[2]) for l in verdict.reference_blocks)
         assert got == [(2, 0, 2), (5, 0, 1)]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_scale_stable(self, seed):
+        # J scales with m: matched within cluster_gap * |m|, with no floor
+        m = generate_pair("dense", 3, np.random.default_rng(seed))
+        verdict = uniqueness_scan(DCMatrix(1e-12 * m.a, 1e-12 * m.b), repetitions=3)
+        assert verdict.verdict == "stable_j"
+
     def test_singular_rank_condition_stable(self):
         rng = np.random.default_rng(6)
         m = rank_condition_pair(4, rng, r=2)
