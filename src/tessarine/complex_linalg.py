@@ -86,27 +86,21 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     return _sv_rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
-def _sv_rank(s: np.ndarray, tol: float, sigma1: float | None = None) -> int:
-    """The zero rule: how many singular values in s are nonzero.
-
-    A singular value is nonzero when it is above tol * sigma1, sigma1 the
-    scale of what s is computed from: s[0], the largest, by default, or
-    sigma1(A) * sigma1(B) for a product AB.  No absolute term enters.
-    """
-    sigma1 = s[0] if sigma1 is None else sigma1
-    return int(np.count_nonzero(s > tol * sigma1))
+def _sv_rank(s: np.ndarray, tol: float) -> int:
+    """The zero rule: how many singular values in s are above tol times
+    the largest.  No absolute term enters."""
+    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
 
 
 def _kernel_staircase(
-    x: np.ndarray, tol: float, norm: float | None = None, stop: int | None = None
+    x: np.ndarray, zero: float, stop: int | None = None
 ) -> list[np.ndarray]:
     """Orthonormal bases of ker x^k for k = 1, 2, ... while it grows.
 
     ker x^k is the kernel of x projected off ker x^(k-1), so no power of
     x is formed.  A singular value counts as zero when it is at most
-    tol * ``norm``, at every step; ``norm`` defaults to ||x||_2, so the
-    first basis then has n - ``rank(x, tol)`` columns.  The staircase
-    also stops once a kernel reaches ``stop`` (default n) dimensions.
+    ``zero``, at every step.  The staircase also stops once a kernel
+    reaches ``stop`` (default n) dimensions.
     """
     n = x.shape[0]
     stop = n if stop is None else stop
@@ -114,9 +108,7 @@ def _kernel_staircase(
     bases: list[np.ndarray] = []
     while True:
         _, s, vh = np.linalg.svd(x - kernel @ (kernel.conj().T @ x))
-        if norm is None:
-            norm = s[0]
-        r = _sv_rank(s, tol, norm)
+        r = int(np.count_nonzero(s > zero))
         if bases and n - r <= kernel.shape[1]:
             return bases
         kernel = vh[r:].conj().T
@@ -250,7 +242,7 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     level) takes its chains from one basis; a longer chain is scaled by the
     norms of its two end columns.
     """
-    bases = _kernel_staircase(e, 1.0, zero, stop=mult)
+    bases = _kernel_staircase(e, zero, stop=mult)
     if bases[-1].shape[1] != mult:
         raise ClusterAmbiguity(
             f"generalized eigenspace of dimension {bases[-1].shape[1]} for a "

@@ -111,8 +111,9 @@ class _PairAnalysis:
     """The facts every decision about one pair [A, B] is made from.
 
     AB, BA and the rank quadruple are computed on construction, AB and BA
-    ranked against sigma1(A) * sigma1(B), the scale they are computed from;
-    their kernel staircases, at that scale, once each when first asked for:
+    ranked at tol * sigma1(A) * sigma1(B), the scale they are computed
+    from, but never below Sylvester's bound rank A + rank B - n; their
+    kernel staircases, at the same line, once each when first asked for:
     they decide AB ~ BA and the square-root conditions.  No Jordan form is
     computed here: only the construction of factors needs one.
 
@@ -132,10 +133,16 @@ class _PairAnalysis:
         if not (np.isfinite(ab).all() and np.isfinite(ba).all()):
             raise NonFiniteInput("AB or BA has a non-finite entry (overflow)")
         self.products = {"ab": ab, "ba": ba}
-        sv = [np.linalg.svd(x, compute_uv=False) for x in (m.a, m.b, ab, ba)]
-        self.scale = sv[0][0] * sv[1][0]
-        refs = (None, None, self.scale, self.scale)
-        self.ranks = tuple(_sv_rank(s, tol, ref) for s, ref in zip(sv, refs))
+        sa, sb, *sp = (np.linalg.svd(x, compute_uv=False) for x in (m.a, m.b, ab, ba))
+        ranks, self.zeros = [_sv_rank(sa, tol), _sv_rank(sb, tol)], {}
+        k = sum(ranks) - m.n
+        for product, s in zip(self.products, sp):
+            zero = tol * sa.max(initial=0.0) * sb.max(initial=0.0)
+            if 0 < k and s[k - 1] <= zero:  # Sylvester: rank AB >= k
+                zero = (s[k - 1] + np.append(s, 0.0)[k]) / 2
+            self.zeros[product] = zero
+            ranks.append(int(np.count_nonzero(s > zero)))
+        self.ranks = tuple(ranks)
         self.pinv_exists = len(set(self.ranks)) == 1
         self._nullities: dict[str, list[int]] = {}
 
@@ -144,10 +151,10 @@ class _PairAnalysis:
         (``product`` "ab") or BA ("ba")."""
         if product not in self._nullities:
             n, r = self.m.n, self.ranks[2 if product == "ab" else 3]
-            x = self.products[product]
+            x, zero = self.products[product], self.zeros[product]
             self._nullities[product] = (
                 [n - r] if r in (0, n)
-                else [b.shape[1] for b in _kernel_staircase(x, self.tol, self.scale)]
+                else [b.shape[1] for b in _kernel_staircase(x, zero)]
             )
         return self._nullities[product]
 

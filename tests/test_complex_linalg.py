@@ -85,7 +85,8 @@ def test_zero_rule_boundary_agrees(scale, factor, want):
     assert rank(a) == want
     assert 3 - null_space(a).dim == want
     assert column_space(a).dim == want
-    assert 3 - _kernel_staircase(a, DEFAULT_TOL)[0].shape[1] == want
+    zero = DEFAULT_TOL * np.linalg.norm(a, 2)
+    assert 3 - _kernel_staircase(a, zero)[0].shape[1] == want
 
 
 def partitions(n, largest=None):
@@ -106,7 +107,8 @@ def test_partition_round_trip(sizes):
     q2, _ = np.linalg.qr(crand(rng, n, n))
     p = q1 @ np.diag(10.0 ** rng.uniform(0, 1.4, n)) @ q2
     x = p @ jordan_matrix(tuple((0j, k) for k in sizes)) @ np.linalg.inv(p)
-    nullities = [basis.shape[1] for basis in _kernel_staircase(x, DEFAULT_TOL)]
+    zero = DEFAULT_TOL * np.linalg.norm(x, 2)
+    nullities = [basis.shape[1] for basis in _kernel_staircase(x, zero)]
     assert tuple(_staircase_sizes(nullities)) == sizes
     # rounding splits a gauged block of size k into eigenvalues about
     # eps**(1/k) apart (2.5e-3 at k = 6), so 1 is clustered at a wider gap

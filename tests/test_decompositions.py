@@ -445,6 +445,42 @@ def test_gauged_zero_product_keeps_its_rank():
     assert _verdicts(gauged) == _verdicts(m)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e150, 1e-150])
+def test_product_ranks_meet_sylvester_bound(s):
+    # AB = BA = diag(1e-5, 1e-5, 1e-10) lies below tol * sigma1(A) *
+    # sigma1(B) in one direction, but rank AB >= rank A + rank B - n = 3
+    m = _scaled(DCMatrix(np.diag([1, 1e-5, 1e-5]), np.diag([1e-5, 1, 1e-5])), s)
+    assert rank_quadruple(m) == (3, 3, 3, 3)
+    assert all(penrose_check(m, pinv(m)))
+    assert all(penrose_check(m, pinv_via_diagrams(m)))
+    assert attempt_jordan_svd(m)[1].jsvd_status is JsvdStatus.EXISTS
+    # B singular: AB = diag(0, 1e-5, 1e-10) keeps rank 3 + 2 - 3 = 2
+    m = _scaled(DCMatrix(np.diag([1, 1e-5, 1e-5]), np.diag([0, 1, 1e-5])), s)
+    assert rank_quadruple(m) == (3, 2, 2, 2)
+
+
+def test_empty_pair_has_rank_zero():
+    assert rank_quadruple(DCMatrix(np.zeros((0, 0)), np.zeros((0, 0)))) == (0, 0, 0, 0)
+
+
+def test_product_ranks_never_below_sylvester_bound():
+    # singular values spread over 1e-7..1, some exactly zero, each factor
+    # diagonal or rotated by random unitaries
+    rng = np.random.default_rng(5)
+
+    def factor(n):
+        d = 10.0 ** rng.uniform(-7, 0, n) * (rng.random(n) > 0.2)
+        if rng.random() < 0.5:
+            return np.diag(d)
+        q1, q2 = (np.linalg.qr(crand(rng, n))[0] for _ in range(2))
+        return q1 @ np.diag(d) @ q2
+
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        ra, rb, rab, rba = rank_quadruple(DCMatrix(factor(n), factor(n)))
+        assert min(rab, rba) >= ra + rb - n
+
+
 class TestPolar:
     def test_unitary_input(self):
         rng = np.random.default_rng(15)
