@@ -11,8 +11,7 @@ at a caller-adjustable gap, clusters must be well separated, and every
 result is verified by reconstruction.  One rule per cluster: a simple
 eigenvalue's chain is its unit eigenvector from ``numpy.linalg.eig``;
 a repeated cluster's chains come from the kernel staircase of
-``a - lam I``, the same staircase that decides AB ~ BA.  Only numpy is
-needed.  When the eigenvalue geometry cannot be resolved reliably the
+``a - lam I``.  Only numpy is needed.  When the eigenvalue geometry cannot be resolved reliably the
 functions raise ``ClusterAmbiguity`` rather than guessing.
 """
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -28,8 +29,6 @@ from .complex_linalg import (
     rank,
     _block_spans,
     _canonical_order,
-    _image_and_kernel,
-    _kernel_staircase,
     _sqrt_jordan,
     _staircase_sizes,
     _sv_rank,
@@ -108,18 +107,19 @@ class ExistenceReport:
 
 
 class _PairAnalysis:
-    """The facts every decision about one pair [A, B] is made from.
+    """The facts every decision about one pair [A, B] is made from, read off
+    one alternating kernel ladder: no product is ranked.
 
-    AB, BA and the rank quadruple are computed on construction, AB and BA
-    ranked at tol * sigma1(A) * sigma1(B), the scale they are computed
-    from, but never below Sylvester's bound rank A + rank B - n; their
-    kernel staircases, at the same line, once each when first asked for:
-    they decide AB ~ BA and the square-root conditions.  No Jordan form is
-    computed here: only the construction of factors needs one.
-
-    Construction raises ``NonFiniteInput`` when the pair, AB or BA has a
-    NaN or infinite entry: products of finite matrices can overflow, and
-    ranks read off such a product would be wrong.
+    Side 0 is the domain of B, side 1 that of A.  At level k, side 0 holds
+    the kernel of the word of length k ending in B (B, AB, BAB, ...), side 1
+    that of the word ending in A (A, BA, ABA, ...).  ker_0^k = {v : B v in
+    ker_1^(k-1)} is the kernel of B restricted to the complement of
+    ker_1^(k-1); side 1 mirrors it with A.  A singular value is zero at most
+    tol * sigma1(B) on side 0 and tol * sigma1(A) on side 1, so by
+    interlacing rank AB >= rank A + rank B - n.  Level 1 is one SVD each of
+    B and A, level 2 singular values only; the levels past 2, which only
+    verdicts outside the rank condition need, come when first asked for.
+    Raises ``NonFiniteInput`` when the pair, AB or BA has a non-finite entry.
     """
 
     def __init__(
@@ -129,47 +129,81 @@ class _PairAnalysis:
             raise NonFiniteInput("matrix pair has a non-finite entry")
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
         with np.errstate(over="ignore", invalid="ignore"):
-            ab, ba = m.a @ m.b, m.b @ m.a
-        if not (np.isfinite(ab).all() and np.isfinite(ba).all()):
+            ab, self.ba = m.a @ m.b, m.b @ m.a
+        if not (np.isfinite(ab).all() and np.isfinite(self.ba).all()):
             raise NonFiniteInput("AB or BA has a non-finite entry (overflow)")
-        self.products = {"ab": ab, "ba": ba}
-        sa, sb, *sp = (np.linalg.svd(x, compute_uv=False) for x in (m.a, m.b, ab, ba))
-        ranks, self.zeros = [_sv_rank(sa, tol), _sv_rank(sb, tol)], {}
-        k = sum(ranks) - m.n
-        for product, s in zip(self.products, sp):
-            zero = tol * sa.max(initial=0.0) * sb.max(initial=0.0)
-            if 0 < k and s[k - 1] <= zero:  # Sylvester: rank AB >= k
-                zero = (s[k - 1] + np.append(s, 0.0)[k]) / 2
-            self.zeros[product] = zero
-            ranks.append(int(np.count_nonzero(s > zero)))
-        self.ranks = tuple(ranks)
+        self.operands = (m.b, m.a)
+        self.svds = [np.linalg.svd(x) for x in self.operands]
+        self._zero = [tol * s.max(initial=0.0) for _, s, _ in self.svds]
+        self._level1 = [vh[: _sv_rank(s, tol)] for _, s, vh in self.svds]
+        level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
+        self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
-        self._nullities: dict[str, list[int]] = {}
 
-    def nullities(self, product: str) -> list[int]:
-        """dim ker x^k for k = 1, 2, ... while it grows, of x = AB
-        (``product`` "ab") or BA ("ba")."""
-        if product not in self._nullities:
-            n, r = self.m.n, self.ranks[2 if product == "ab" else 3]
-            x, zero = self.products[product], self.zeros[product]
-            self._nullities[product] = (
-                [n - r] if r in (0, n)
-                else [b.shape[1] for b in _kernel_staircase(x, zero)]
-            )
-        return self._nullities[product]
+    def _next_level(self, rows, prev, compute_uv=True, known=(None, None)) -> list:
+        """Complement rows of each side's next kernel from this level's, which
+        had ``prev`` rows a level before, or kept where the rank ``known``
+        says it does not grow; where ``compute_uv`` is False and an SVD is
+        taken, the nonzero singular values, as many as those rows."""
+        level = []
+        for side, other in ((0, 1), (1, 0)):
+            if len(rows[other]) >= prev[other] or known[side] == len(rows[side]):
+                nxt = rows[side]
+            elif not len(rows[other]):  # the other kernel is everything
+                nxt = rows[other]
+            elif compute_uv:
+                _, s, vh = np.linalg.svd(rows[other] @ self.operands[side])
+                nxt = vh[: np.count_nonzero(s > self._zero[side])]
+            else:
+                s = np.linalg.svd(rows[other] @ self.operands[side], compute_uv=False)
+                nxt = s[s > self._zero[side]]
+            # kernels nest: a level that reads a smaller one keeps the last
+            level.append(nxt if len(nxt) <= len(rows[side]) else rows[side])
+        return level
+
+    @cached_property
+    def words(self) -> tuple[list[int], list[int]]:
+        """Ranks of the alternating words of length 1, 2, ... that end in B
+        (side 0) and in A (side 1), up to a length past which none changes."""
+        rank_a, rank_b, rank_ab, rank_ba = self.ranks
+        if (rank_ab, rank_ba) == (rank_b, rank_a):  # no kernel grew at level 2
+            return [rank_b, rank_ab], [rank_a, rank_ba]
+        level, prev, words = self._level1, (self.m.n,) * 2, ([rank_b], [rank_a])
+        known = (rank_ab, rank_ba)  # a side with no growth at level 2 takes no SVD
+        while any(len(r) < p for r, p in zip(level, prev)):
+            nxt = self._next_level(level, prev, True, known)
+            prev, level, known = list(map(len, level)), nxt, (None, None)
+            for ranks, rows in zip(words, level):
+                ranks.append(len(rows))
+        return words
+
+    def image_and_kernel(self, side: int) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal bases of Im and ker of B (side 0) or A (side 1)."""
+        (u, _, vh), r = self.svds[side], len(self._level1[side])
+        return u[:, :r], vh[r:].conj().T
+
+    def nullities(self, side: int) -> list[int]:
+        """dim ker x^k for k = 1, 2, ... while it grows, of x = AB (side 0)
+        or BA (side 1): (AB)^k is the word of length 2k that ends in B."""
+        return sorted({self.m.n - r for r in self.words[side][1::2]})
 
     def ab_similar_ba(self) -> bool:
         """AB ~ BA: by Flanders' theorem AB and BA share their Jordan blocks
-        at every nonzero eigenvalue, so equal kernel staircases decide it."""
-        return self.nullities("ab") == self.nullities("ba")
+        at every nonzero eigenvalue, so equal nullities of powers decide it."""
+        return self.nullities(0) == self.nullities(1)
 
     def necessary(self) -> tuple[bool, bool, bool]:
         """The three necessary conditions of ``jsvd_necessary``."""
-        roots = [
-            _sizes_admit_sqrt(_staircase_sizes(self.nullities(product)))
-            for product in self.products
-        ]
+        roots = (_sizes_admit_sqrt(_staircase_sizes(self.nullities(s))) for s in (0, 1))
         return (self.ranks[0] == self.ranks[1], *roots)
+
+    def unequal_word(self) -> str | None:
+        """A reason naming the shortest words ending in A and B of unequal rank,
+        or None: then a Jordan SVD exists (Horn & Merino 1995)."""
+        for k, (b, a) in enumerate(zip(*self.words), 1):
+            if a != b:
+                return f"rank {('BA' * k)[-k:]} = {a} but rank {('AB' * k)[-k:]} = {b}"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +265,7 @@ def jsvd_necessary(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, bool, b
 
     1. rank(A) = rank(B); 2. AB has a square root; 3. BA has a square
     root.  Only the nilpotent Jordan blocks can stand in a root's way;
-    their sizes are read off the kernel staircase of each product, so no
+    their sizes are read off the kernel ladder's words of even length, so no
     Jordan form is computed.
     """
     return _PairAnalysis(m, tol).necessary()
@@ -351,18 +385,19 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, np.ndar
     """``jordan_svd`` of a pair known to meet the rank condition, with J+."""
     m = pa.m
     # J's zero blocks are the n - rank BA that the rank quadruple counts
-    _, root_jf, p_inv = _sqrt_jordan(pa.products["ba"], pa.cluster_gap, pa.ranks[3])
+    _, root_jf, p_inv = _sqrt_jordan(pa.ba, pa.cluster_gap, pa.ranks[3])
     p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
     v = DCMatrix(p, p_inv)
     s = DCMatrix(j, j)
     j_pinv = _jordan_pinv(j)
 
-    # A P = X J fixes X at J's nonzero blocks; B X = P J puts ker B, the
-    # right singular vectors of B's n - rank B smallest, at its zero blocks
+    # A P = X J fixes X at J's nonzero blocks; B X = P J puts ker B at its
+    # zero blocks, times one power of two near max|A P J+|: exact, and U's
+    # columns meet at one scale under a gauge (sA, B/s)
     x = m.a @ p @ j_pinv
     zero = [span.start for lam, span in _block_spans(blocks) if lam == 0]
     if zero:
-        x[:, zero] = np.linalg.svd(m.b)[2][m.n - len(zero) :].conj().T
+        x[:, zero] = pa.image_and_kernel(0)[1] * np.ldexp(1.0, np.frexp(max_abs(x))[1])
     try:
         y = np.linalg.inv(x)
     except np.linalg.LinAlgError:
@@ -420,6 +455,8 @@ def polar_to_jsvd(
     J into the half-plane.
     """
     hf = pd.hermitian_factor
+    if not all(math.isfinite(f.norm_inf()) for f in (pd.unitary_factor, hf)):
+        raise NonFiniteInput("polar factor has a non-finite entry")
     if not _is_hermitian(hf, tol):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
@@ -530,8 +567,8 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
         raise NoPseudoinverse(
             f"existence conditions fail: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    im_a, ker_a = (basis.vectors for basis in _image_and_kernel(m.a, tol))
-    im_b, ker_b = (basis.vectors for basis in _image_and_kernel(m.b, tol))
+    im_b, ker_b = pa.image_and_kernel(0)
+    im_a, ker_a = pa.image_and_kernel(1)
 
     c = _reverse_diagram(m.a, im_b, ker_b, tol=tol, name="Im(A) + ker(B)")
     d = _reverse_diagram(m.b, im_a, ker_a, tol=tol, name="Im(B) + ker(A)")
@@ -550,8 +587,6 @@ def _reverse_diagram(
     mapped = a @ source_image
     unit = np.ldexp(1.0, np.frexp(max_abs(mapped))[1])  # exact: a's scale drops out
     stack = np.hstack([mapped / unit, kernel])
-    if stack.shape[1] != n:
-        raise NoPseudoinverse(f"direct sum {name} has wrong dimension")
     sv = np.linalg.svd(stack, compute_uv=False)
     if _sv_rank(sv, tol) < n:
         raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
@@ -577,11 +612,13 @@ def attempt_jordan_svd(
     """Full existence flow: necessary conditions, then construction.
 
     Status semantics: ``not_exists`` only when a necessary condition
-    provably fails (those of ``jsvd_necessary``, or AB ~ BA when the rank
-    condition fails); ``exists`` only when a factorization was produced
-    and verified (constructive route under the rank condition, or the
-    Hermitian route); ``unknown`` otherwise - the exact existence
-    boundary is open.  ``rng`` is ignored.
+    provably fails: those of ``jsvd_necessary``, or when the rank condition
+    fails, AB ~ BA and then equal ranks of the alternating words of each
+    length (the reason names the shortest unequal pair); ``exists`` only
+    when a factorization was produced and verified (constructive route
+    under the rank condition, or the Hermitian route); ``unknown``
+    otherwise: equal word ranks prove existence, but only those two routes
+    build factors.  ``rng`` is ignored.
     """
     pa = _PairAnalysis(m, tol, cluster_gap)
     return _attempt_jordan_svd(pa, recon_tol)
@@ -590,43 +627,27 @@ def attempt_jordan_svd(
 def _attempt_jordan_svd(
     pa: _PairAnalysis, recon_tol: float = DEFAULT_RECON_TOL
 ) -> tuple[JordanSVD | None, ExistenceReport]:
-    m, ranks, rank_ok = pa.m, pa.ranks, pa.pinv_exists
-    nec1, nec2, nec3 = pa.necessary()
-    reason = jsvd = None
-    failed = [i + 1 for i, ok in enumerate((nec1, nec2, nec3)) if not ok]
+    rank_ok, nec = pa.pinv_exists, pa.necessary()
+    failed = [i + 1 for i, ok in enumerate(nec) if not ok]
     if failed:
-        status = JsvdStatus.NOT_EXISTS
         reason = f"necessary condition {failed[0]} fails"
     elif not rank_ok and not pa.ab_similar_ba():
-        status = JsvdStatus.NOT_EXISTS
         reason = "AB is not similar to BA"
     else:
+        reason = None if rank_ok else pa.unequal_word()
+    jsvd, status = None, JsvdStatus.NOT_EXISTS
+    if reason is None:
         try:
             if rank_ok:
                 jsvd = _jordan_svd(pa, recon_tol)[0]
             else:
                 jsvd = hermitian_jsvd(
-                    m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap
+                    pa.m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap
                 )
             status = JsvdStatus.EXISTS
-        except PreconditionFailed:
-            # the Hermitian route's: m is not of the form [H, H]
+        except PreconditionFailed:  # the Hermitian route's: m is not [H, H]
             status = JsvdStatus.UNKNOWN
             reason = "rank condition fails; existence undetermined"
         except TessarineError as ex:
-            status = JsvdStatus.UNKNOWN
-            reason = f"{type(ex).__name__}: {ex}"
-
-    report = ExistenceReport(
-        rank_a=ranks[0],
-        rank_b=ranks[1],
-        rank_ab=ranks[2],
-        rank_ba=ranks[3],
-        pinv_exists=rank_ok,
-        jsvd_nec1=nec1,
-        jsvd_nec2=nec2,
-        jsvd_nec3=nec3,
-        jsvd_status=status,
-        reason=reason,
-    )
-    return jsvd, report
+            status, reason = JsvdStatus.UNKNOWN, f"{type(ex).__name__}: {ex}"
+    return jsvd, ExistenceReport(*pa.ranks, rank_ok, *nec, status, reason)

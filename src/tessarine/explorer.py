@@ -5,7 +5,7 @@ SVD existing?  The scan records the similarity verdict next to the
 three-valued construction status and flags any (exists, not similar) or
 (not exists, similar) cell as a candidate counterexample - a reportable
 finding, never a silent drop.  Similarity and the necessary conditions
-are read off the kernel staircases of AB and BA; a Jordan form is
+are read off one alternating kernel ladder of A and B; a Jordan form is
 computed only when the construction builds factors.
 
 Problem 2 (uniqueness of J): the scan reruns the construction under

@@ -210,6 +210,21 @@ class TestJsvdCommand:
         assert doc["jsvd_status"] == "not_exists"
         assert doc["error"] == "AB is not similar to BA"
 
+    def test_unequal_word_ranks_exit_3(self, tmp_path, capsys):
+        # AB ~ BA, but rank ABA = 1 and rank BAB = 0
+        path = tmp_path / "word.json"
+        write_pair(path, [[1, 0, 1], [1, 0, 0], [0, 0, 0]],
+                   [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        code, doc = run_cli(capsys, "jsvd", str(path))
+        assert code == 3
+        assert doc["jsvd_status"] == "not_exists"
+        assert doc["error"] == "rank ABA = 1 but rank BAB = 0"
+        code, doc = run_cli(capsys, "check", str(path))
+        assert code == 0
+        assert (doc["jsvd_status"], doc["reason"]) == (
+            "not_exists", "rank ABA = 1 but rank BAB = 0"
+        )
+
     @pytest.mark.parametrize("command", ["check", "jsvd", "pinv", "svd", "polar"])
     def test_pair_commands_take_no_seed(self, tmp_path, capsys, command):
         path, _ = invertible_file(tmp_path)

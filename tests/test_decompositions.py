@@ -62,6 +62,23 @@ def ab_not_similar_ba_pair():
     )
 
 
+def word_counterexample_pair():
+    """AB ~ BA and conditions (T, T, T), but rank ABA = 1 and rank BAB = 0."""
+    return DCMatrix(
+        np.array([[1, 0, 1], [1, 0, 0], [0, 0, 0]], dtype=complex),
+        np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
+    )
+
+
+def permutation_pair():
+    """Equal word ranks, so a Jordan SVD exists (J = J_3(0)); outside the
+    rank condition and not Hermitian, so none is built."""
+    return DCMatrix(
+        np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=complex),
+        np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex),
+    )
+
+
 def blocks_close(got, want, tol=1e-8):
     if len(got) != len(want):
         return False
@@ -333,6 +350,20 @@ class TestAttempt:
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
         assert report.reason == "AB is not similar to BA"
 
+    def test_unequal_word_ranks_prove_nonexistence(self):
+        # AB ~ BA and conditions 1-3 hold; the words of length 3 differ
+        jsvd, report = attempt_jordan_svd(word_counterexample_pair())
+        assert jsvd is None
+        assert _PairAnalysis(word_counterexample_pair(), 1e-9).ab_similar_ba()
+        assert report.jsvd_nec1 and report.jsvd_nec2 and report.jsvd_nec3
+        assert report.jsvd_status is JsvdStatus.NOT_EXISTS
+        assert report.reason == "rank ABA = 1 but rank BAB = 0"
+
+    def test_equal_word_ranks_stay_unknown(self):
+        jsvd, report = attempt_jordan_svd(permutation_pair())
+        assert jsvd is None
+        assert report.jsvd_status is JsvdStatus.UNKNOWN
+
     def test_invertible_exists(self):
         rng = np.random.default_rng(14)
         jsvd, report = attempt_jordan_svd(rand_pair(rng, 3), rng=rng)
@@ -375,13 +406,48 @@ class TestVerdictsFromKernels:
             assert _PairAnalysis(m, 1e-9).ab_similar_ba(), seed
 
 
+def _exact_rank(m):
+    """Rank of an integer matrix by exact elimination in Python integers:
+    row i becomes p * row i - c * pivot row, which keeps the rank over Q."""
+    rows = [[int(x) for x in row] for row in m if row.any()]
+    rank = 0
+    for col in range(len(m)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            rows[i] = [p * x - c * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_word_ranks_match_exact_ranks():
+    # 0/1 pairs: the words are integer matrices, ranked exactly
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        n = int(rng.integers(2, 5))
+        a, b = ((rng.random((n, n)) < 0.35).astype(int) for _ in range(2))
+        words = _PairAnalysis(DCMatrix(a, b), 1e-9).words
+        for side, (first, second) in enumerate(((b, a), (a, b))):
+            word, want = first, []
+            for k in range(2 * n + 1):  # no rank changes past length 2n
+                want.append(_exact_rank(word) if not want or want[-1] else 0)
+                word = (second, first)[k % 2] @ word
+            got = words[side] + words[side][-1:] * (2 * n + 1 - len(words[side]))
+            assert got == want, (trial, side)
+
+
 def _shift(k):
     return jordan_matrix(((0j, k),))
 
 
 # Canonical pieces [A_i, B_i] under (A, B) -> (S A T^-1, T B S^-1): the
-# nonsingular part (I, J_k(lam)), nilpotent blocks on either side, and
-# the strings whose AB and BA differ (the counterexample and its swap).
+# nonsingular part (I, J_k(lam)), nilpotent blocks on either side, the
+# strings whose AB and BA differ (the counterexample and its swap), and
+# two 3x3 pairs whose words of length 3 differ in rank or agree.
 CANONICAL_PIECES = (
     (np.eye(1), np.eye(1)),
     (np.eye(1), -2 * np.eye(1)),
@@ -394,6 +460,8 @@ CANONICAL_PIECES = (
     (np.diag([0.0, 1.0]), _shift(2)),
     (_shift(2), np.diag([0.0, 1.0])),
     (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+    (word_counterexample_pair().a, word_counterexample_pair().b),
+    (permutation_pair().a, permutation_pair().b),
 )
 
 
@@ -422,6 +490,10 @@ def _verdicts(m):
     return rank_quadruple(m), _PairAnalysis(m, 1e-9).ab_similar_ba(), jsvd_necessary(m)
 
 
+def _verdicts_and_words(m):
+    return (*_verdicts(m), _PairAnalysis(m, 1e-9).words)
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(prescribed_pairs())
 def test_verdicts_invariant_under_scaling_and_gauge(case):
@@ -429,9 +501,9 @@ def test_verdicts_invariant_under_scaling_and_gauge(case):
     rng = np.random.default_rng(seed)
     x, y = _gauge_factor(rng, m.n), _gauge_factor(rng, m.n)
     gauged = DCMatrix(x @ m.a @ np.linalg.inv(y), y @ m.b @ np.linalg.inv(x))
-    want = _verdicts(m)
+    want = _verdicts_and_words(m)
     for k in (gauged, DCMatrix(s * m.a, s * m.b), DCMatrix(s * gauged.a, s * gauged.b)):
-        assert _verdicts(k) == want
+        assert _verdicts_and_words(k) == want
 
 
 def test_gauged_zero_product_keeps_its_rank():
@@ -457,6 +529,22 @@ def test_product_ranks_meet_sylvester_bound(s):
     # B singular: AB = diag(0, 1e-5, 1e-10) keeps rank 3 + 2 - 3 = 2
     m = _scaled(DCMatrix(np.diag([1, 1e-5, 1e-5]), np.diag([0, 1, 1e-5])), s)
     assert rank_quadruple(m) == (3, 2, 2, 2)
+
+
+def test_gauged_rank_deficient_pairs_build():
+    # under (sA, B/s) the columns of U at J's zero blocks, ker B, meet the
+    # columns A P J+ at their scale, so U passes its unitarity gate
+    rng = np.random.default_rng(8)
+    deficient = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        m = rank_condition_pair(n, rng)
+        s = 10 ** rng.uniform(-12, 12)
+        gauged = DCMatrix(s * m.a, m.b / s)
+        if rank_quadruple(gauged)[0] < n:
+            deficient += 1
+            assert all(penrose_check(gauged, pinv(gauged)))
+    assert deficient == 207
 
 
 def test_empty_pair_has_rank_zero():
@@ -546,6 +634,16 @@ class TestPolarToJsvd:
             pd = polar(m, rng=np.random.default_rng(trial))
             out = polar_to_jsvd(pd)
             assert (out.reconstruct() - m).norm_inf() <= 1e-7 * m.norm_inf()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_rejects_non_finite_factor(self, entry):
+        for pd in (
+            PolarDecomposition(DCMatrix.identity(1), DCMatrix([[entry]], [[entry]])),
+            PolarDecomposition(DCMatrix([[entry]], [[1.0]]), DCMatrix.identity(1)),
+        ):
+            with pytest.raises(NonFiniteInput):
+                polar_to_jsvd(pd)
 
     def test_rejects_non_hermitian_factor(self):
         pd = PolarDecomposition(
@@ -961,12 +1059,14 @@ class TestInversesPerCall:
 
 
 class TestPairAnalysedOnce:
-    """Each pair's Jordan forms and ranks are computed once per call: the
-    ranks from one singular-value SVD each of A, B, AB and BA."""
+    """Each pair's Jordan forms and ranks are computed once per call: level
+    1 of the kernel ladder is one SVD each of A and B, and level 2 one
+    singular-value SVD for each operand whose other operand is neither
+    injective nor zero.  Every ``np.linalg.svd`` call is counted."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"jordan_decomposition": 0, "singular_values": 0}
+        counts = {"jordan_decomposition": 0, "svd": 0}
         original = complex_linalg.jordan_decomposition
 
         def counted(*args, **kwargs):
@@ -980,32 +1080,54 @@ class TestPairAnalysedOnce:
         svd = np.linalg.svd
 
         def counted_svd(*args, **kwargs):
-            counts["singular_values"] += kwargs.get("compute_uv") is False
+            counts["svd"] += 1
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         return counts
 
     def test_dense_trial(self, counts):
-        # the verdicts come from kernel staircases; only BA's form is built
+        # the verdicts come from the ladder; only BA's form is built
         record = explorer.run_trial(7, "dense", 4)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan_decomposition": 1, "singular_values": 4}
+        assert counts == {"jordan_decomposition": 1, "svd": 2}
 
     def test_pinv(self, counts):
+        # 2 for level 1, 2 for level 2, 2 for the chains of BA's zero cluster
         m = rank_condition_pair(4, np.random.default_rng(3), r=2)
-        counts.update(jordan_decomposition=0, singular_values=0)
+        counts.update(jordan_decomposition=0, svd=0)
         pinv(m)
-        assert counts == {"jordan_decomposition": 1, "singular_values": 4}
+        assert counts == {"jordan_decomposition": 1, "svd": 6}
+
+    def test_pinv_via_diagrams(self, counts):
+        # Im and ker of A and B come from level 1; 2 for the direct sums
+        m = rank_condition_pair(4, np.random.default_rng(3), r=2)
+        counts.update(jordan_decomposition=0, svd=0)
+        pinv_via_diagrams(m)
+        assert counts == {"jordan_decomposition": 0, "svd": 6}
 
     def test_scalar_pair_decomposed_once(self, counts):
         # n = 1: the rank quadruple alone decides the verdicts
         record = explorer.run_trial(7, "dense", 1)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan_decomposition": 1, "singular_values": 4}
+        assert counts == {"jordan_decomposition": 1, "svd": 2}
 
     def test_commuting_pair_decomposed_once(self, counts):
         a = crand(np.random.default_rng(8), 4)
         jsvd, report = attempt_jordan_svd(DCMatrix(a, a))
         assert report.jsvd_status is JsvdStatus.EXISTS
-        assert counts == {"jordan_decomposition": 1, "singular_values": 4}
+        assert counts == {"jordan_decomposition": 1, "svd": 2}
+
+    def test_climb_skips_a_side_that_did_not_grow(self, counts):
+        # ranks (1, 1, 0, 1): level 2 grows on B's side only, so the climb
+        # takes one SVD there; then a full kernel and a reused level end it
+        jsvd, report = attempt_jordan_svd(counterexample_pair())
+        assert report.jsvd_status is JsvdStatus.NOT_EXISTS
+        assert counts == {"jordan_decomposition": 0, "svd": 5}
+
+    def test_word_verdict_climbs_once(self, counts):
+        # levels 1 and 2 on construction, then levels 2 and 3 with vectors;
+        # past them every step reuses a level or meets a full kernel
+        jsvd, report = attempt_jordan_svd(word_counterexample_pair())
+        assert report.jsvd_status is JsvdStatus.NOT_EXISTS
+        assert counts == {"jordan_decomposition": 0, "svd": 8}
