@@ -371,12 +371,13 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
 
     j = jordan_matrix(tuple(blocks))
     try:
-        residual = max_abs(p @ j @ np.linalg.inv(p) - a)
+        with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
+            residual = max_abs(p @ j @ np.linalg.inv(p) - a)
     except np.linalg.LinAlgError:
         raise ClusterAmbiguity("Jordan chain basis is singular") from None
     # merging eigenvalues within the gap concedes errors up to the spread
     allowance = JORDAN_RECON_TOL * scale + SEPARATION_FACTOR * max_spread
-    if residual > allowance:
+    if not residual <= allowance:
         raise ClusterAmbiguity(
             f"Jordan reconstruction residual {residual:.3e} exceeds "
             f"{allowance:.3e}; eigenvalue structure unresolved"

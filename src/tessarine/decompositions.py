@@ -132,13 +132,33 @@ class _PairAnalysis:
             ab, self.ba = m.a @ m.b, m.b @ m.a
         if not (np.isfinite(ab).all() and np.isfinite(self.ba).all()):
             raise NonFiniteInput("AB or BA has a non-finite entry (overflow)")
-        self.operands = (m.b, m.a)
-        self.svds = [np.linalg.svd(x) for x in self.operands]
+        self.svds = [np.linalg.svd(x) for x in (m.b, m.a)]
         self._zero = [tol * s.max(initial=0.0) for _, s, _ in self.svds]
         self._level1 = [vh[: _sv_rank(s, tol)] for _, s, vh in self.svds]
         level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
         self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
+        self._jsvds: dict = {}  # recon_tol -> (JordanSVD, J+) or its refusal
+
+    @property
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """B and A: side 0's operand, then side 1's."""
+        return self.m.b, self.m.a
+
+    def jordan_svd(self, recon_tol: float) -> tuple[JordanSVD, np.ndarray]:
+        """``_jordan_svd`` of this pair, built once per recon_tol: a refusal
+        is remembered too and raised again with its type and message."""
+        if recon_tol not in self._jsvds:
+            try:
+                self._jsvds[recon_tol] = _jordan_svd(self, recon_tol)
+            except TessarineError as ex:
+                self._jsvds[recon_tol] = type(ex), ex.args
+                raise
+        found = self._jsvds[recon_tol]
+        if not isinstance(found[0], JordanSVD):
+            error, args = found
+            raise error(*args)
+        return found
 
     def _next_level(self, rows, prev, compute_uv=True, known=(None, None)) -> list:
         """Complement rows of each side's next kernel from this level's, which
@@ -206,6 +226,30 @@ class _PairAnalysis:
         return None
 
 
+_last: tuple[tuple, _PairAnalysis] | None = None
+
+
+def _analysis(
+    m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
+) -> _PairAnalysis:
+    """The analysis of m, kept in a one-slot memo of the last pair analysed.
+
+    The key is the pair's content (``tobytes``), not its identity: a
+    DCMatrix may wrap a view of an array that is still writable.  A hit
+    takes m as the analysis' pair, so what is built from it later reads
+    the content the key was made of.
+    """
+    global _last
+    key, last = (m.a.tobytes(), m.b.tobytes(), tol, cluster_gap), _last
+    if last is not None and last[0] == key:  # one read: another thread may refill
+        pa = last[1]
+        pa.m = m
+        return pa
+    pa = _PairAnalysis(m, tol, cluster_gap)
+    _last = key, pa
+    return pa
+
+
 # ---------------------------------------------------------------------------
 # Acceptance gates
 # ---------------------------------------------------------------------------
@@ -235,12 +279,12 @@ def _is_hermitian(m: DCMatrix, tol: float) -> bool:
 
 
 def rank_quadruple(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[int, int, int, int]:
-    return _PairAnalysis(m, tol).ranks
+    return _analysis(m, tol).ranks
 
 
 def pinv_exists(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, int, int, int]]:
     """Rank criterion: a pseudoinverse exists iff all four ranks agree."""
-    pa = _PairAnalysis(m, tol)
+    pa = _analysis(m, tol)
     return pa.pinv_exists, pa.ranks
 
 
@@ -268,7 +312,7 @@ def jsvd_necessary(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, bool, b
     their sizes are read off the kernel ladder's words of even length, so no
     Jordan form is computed.
     """
-    return _PairAnalysis(m, tol).necessary()
+    return _analysis(m, tol).necessary()
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +417,12 @@ def jordan_svd(
     for U = [X, Y]) and verify m = U S V*.  The construction draws no
     random numbers: ``rng`` is accepted for compatibility and ignored.
     """
-    pa = _PairAnalysis(m, tol, cluster_gap)
+    pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise PreconditionFailed(
             f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    return _jordan_svd(pa, recon_tol)[0]
+    return pa.jordan_svd(recon_tol)[0]
 
 
 def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, np.ndarray]:
@@ -540,12 +584,12 @@ def pinv(
 ) -> DCMatrix:
     """Moore-Penrose pseudoinverse via the Jordan SVD: V [J+, J+] U*.
     ``rng`` is accepted for compatibility and ignored."""
-    pa = _PairAnalysis(m, tol, cluster_gap)
+    pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd, j_pinv = _jordan_svd(pa, recon_tol)
+    jsvd, j_pinv = pa.jordan_svd(recon_tol)
     k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
     axioms = penrose_check(m, k, recon_tol)
     if not all(axioms):
@@ -562,7 +606,7 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
     existence conditions Im(AB) = Im(A), Im(BA) = Im(B) and
     rank(A) = rank(B); fails with ``NoPseudoinverse`` otherwise.
     """
-    pa = _PairAnalysis(m, tol)
+    pa = _analysis(m, tol)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"existence conditions fail: rank(A,B,AB,BA) = {pa.ranks}"
@@ -620,7 +664,7 @@ def attempt_jordan_svd(
     otherwise: equal word ranks prove existence, but only those two routes
     build factors.  ``rng`` is ignored.
     """
-    pa = _PairAnalysis(m, tol, cluster_gap)
+    pa = _analysis(m, tol, cluster_gap)
     return _attempt_jordan_svd(pa, recon_tol)
 
 
@@ -639,7 +683,7 @@ def _attempt_jordan_svd(
     if reason is None:
         try:
             if rank_ok:
-                jsvd = _jordan_svd(pa, recon_tol)[0]
+                jsvd = pa.jordan_svd(recon_tol)[0]
             else:
                 jsvd = hermitian_jsvd(
                     pa.m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap

@@ -1,6 +1,7 @@
 """The core factorizations: naive SVD, Jordan SVD, pseudoinverses, polar."""
 
 import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -842,6 +843,16 @@ class TestOverflowingJordanChains:
         with pytest.raises(ClusterAmbiguity):
             jordan_decomposition(1e150 * (p @ j @ np.linalg.inv(p)), cluster_gap=1e-4)
 
+    def test_overflowing_reconstruction_is_refused(self):
+        # BA near 1e300 with a J_2(1) block: the reconstruction overflows to
+        # a NaN residual, which the gate refuses (exists at scale 1)
+        a = np.array([[1, 1, 1], [0, 0, 0], [1, 1, 0]])
+        b = np.array([[0, 0, 1], [0, 0, 0], [1, 1, 1]])
+        assert attempt_jordan_svd(DCMatrix(a, b))[1].jsvd_status is JsvdStatus.EXISTS
+        jsvd, report = attempt_jordan_svd(DCMatrix(1e150 * a, 1e150 * b))
+        assert report.jsvd_status is JsvdStatus.UNKNOWN
+        assert report.reason.startswith("ClusterAmbiguity: Jordan reconstruction")
+
 
 def two_block_matrix():
     """B = P (J_2(4) + J_2(i)) P^-1 with P a complex Gaussian."""
@@ -1059,13 +1070,15 @@ class TestInversesPerCall:
 
 
 class TestPairAnalysedOnce:
-    """Each pair's Jordan forms and ranks are computed once per call: level
-    1 of the kernel ladder is one SVD each of A and B, and level 2 one
-    singular-value SVD for each operand whose other operand is neither
-    injective nor zero.  Every ``np.linalg.svd`` call is counted."""
+    """Each pair's Jordan forms and ranks are computed once: level 1 of the
+    kernel ladder is one SVD each of A and B, and level 2 one singular-value
+    SVD for each operand whose other operand is neither injective nor zero.
+    Every ``np.linalg.svd`` call is counted; each test starts with an empty
+    analysis memo."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        monkeypatch.setattr(decompositions, "_last", None)
         counts = {"jordan_decomposition": 0, "svd": 0}
         original = complex_linalg.jordan_decomposition
 
@@ -1092,19 +1105,43 @@ class TestPairAnalysedOnce:
         assert record.jsvd_status == "exists"
         assert counts == {"jordan_decomposition": 1, "svd": 2}
 
-    def test_pinv(self, counts):
-        # 2 for level 1, 2 for level 2, 2 for the chains of BA's zero cluster
+    @staticmethod
+    def unseen_pair(monkeypatch):
+        """A rank-condition pair the memo has not seen: drawing it analyses
+        it through ``pinv_exists``, so the memo is emptied afterwards."""
         m = rank_condition_pair(4, np.random.default_rng(3), r=2)
+        monkeypatch.setattr(decompositions, "_last", None)
+        return m
+
+    def test_pinv(self, counts, monkeypatch):
+        # 2 for level 1, 2 for level 2, 2 for the chains of BA's zero cluster
+        m = self.unseen_pair(monkeypatch)
         counts.update(jordan_decomposition=0, svd=0)
         pinv(m)
         assert counts == {"jordan_decomposition": 1, "svd": 6}
 
-    def test_pinv_via_diagrams(self, counts):
+    def test_pinv_via_diagrams(self, counts, monkeypatch):
         # Im and ker of A and B come from level 1; 2 for the direct sums
-        m = rank_condition_pair(4, np.random.default_rng(3), r=2)
+        m = self.unseen_pair(monkeypatch)
         counts.update(jordan_decomposition=0, svd=0)
         pinv_via_diagrams(m)
         assert counts == {"jordan_decomposition": 0, "svd": 6}
+
+    def test_pinv_after_pinv_exists(self, counts, monkeypatch):
+        # the ladder is the memo's; 2 for the chains of BA's zero cluster
+        m = self.unseen_pair(monkeypatch)
+        pinv_exists(m)
+        counts.update(jordan_decomposition=0, svd=0)
+        pinv(m)
+        assert counts == {"jordan_decomposition": 1, "svd": 2}
+
+    def test_polar_after_pinv(self, counts, monkeypatch):
+        # the ladder and the Jordan SVD are both the memo's
+        m = self.unseen_pair(monkeypatch)
+        pinv(m)
+        counts.update(jordan_decomposition=0, svd=0)
+        polar(m)
+        assert counts == {"jordan_decomposition": 0, "svd": 0}
 
     def test_scalar_pair_decomposed_once(self, counts):
         # n = 1: the rank quadruple alone decides the verdicts
@@ -1131,3 +1168,159 @@ class TestPairAnalysedOnce:
         jsvd, report = attempt_jordan_svd(word_counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
         assert counts == {"jordan_decomposition": 0, "svd": 8}
+
+
+def _as_bytes(result) -> bytes:
+    """Every array of a factorization result, as one byte string."""
+    if isinstance(result, tuple):
+        return b"".join(_as_bytes(r) for r in result)
+    if isinstance(result, DCMatrix):
+        return result.a.tobytes() + result.b.tobytes()
+    if isinstance(result, decompositions.JordanSVD):
+        return _as_bytes((result.u, result.s, result.v)) + repr(
+            (result.blocks, result.residual)
+        ).encode()
+    if isinstance(result, PolarDecomposition):
+        return _as_bytes((result.unitary_factor, result.hermitian_factor))
+    return repr(result).encode()
+
+
+class TestAnalysisMemo:
+    """The last pair analysed is kept in a one-slot memo keyed by its
+    content, tol and cluster_gap; its analysis keeps one Jordan SVD, or its
+    refusal, per recon_tol."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(decompositions, "_last", None)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = decompositions._jordan_svd
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(decompositions, "_jordan_svd", counted)
+        return calls
+
+    @staticmethod
+    def pair():
+        return rank_condition_pair(4, np.random.default_rng(5), r=3)
+
+    @pytest.mark.parametrize(
+        "factor",
+        [pinv, polar, jordan_svd, pinv_via_diagrams, attempt_jordan_svd],
+        ids=lambda f: f.__name__,
+    )
+    def test_warm_call_is_bit_identical(self, factor, monkeypatch):
+        m = self.pair()
+        monkeypatch.setattr(decompositions, "_last", None)
+        cold = _as_bytes(factor(m))
+        assert decompositions._last is not None
+        assert _as_bytes(factor(m)) == cold
+
+    def test_copied_arrays_hit(self, builds):
+        m = self.pair()
+        pinv(m)
+        copy = DCMatrix(m.a.copy(), m.b.copy())
+        assert decompositions._analysis(copy, DEFAULT_TOL) is decompositions._last[1]
+        polar(copy)
+        assert len(builds) == 1
+
+    def test_signed_zero_misses(self):
+        a = np.eye(2)
+        b = np.diag([1.0, 0.0])
+        first = decompositions._analysis(DCMatrix(a, b), DEFAULT_TOL)
+        b[1, 1] = -0.0
+        second = decompositions._analysis(DCMatrix(a, b), DEFAULT_TOL)
+        assert second is not first
+        assert second.ranks == first.ranks
+
+    @pytest.mark.parametrize("change", [{"tol": 1e-8}, {"cluster_gap": 1e-7}])
+    def test_other_tolerances_miss(self, change):
+        m = self.pair()
+        options = {"tol": DEFAULT_TOL, "cluster_gap": 1e-6, **change}
+        first = decompositions._analysis(m, DEFAULT_TOL, 1e-6)
+        assert decompositions._analysis(m, **options) is not first
+
+    def test_other_recon_tol_rebuilds(self, builds):
+        m = self.pair()
+        jordan_svd(m)
+        jordan_svd(m, recon_tol=1e-6)
+        jordan_svd(m)
+        assert len(builds) == 2
+
+    def test_mutated_view_misses(self):
+        # a DCMatrix over a view of a writable array: content, not identity
+        base = np.zeros((2, 4), complex)
+        m = DCMatrix(base[:, :2], base[:, 2:])
+        assert rank_quadruple(m) == (0, 0, 0, 0)
+        base[:] = np.hstack([np.eye(2), np.eye(2)])
+        assert rank_quadruple(m) == (2, 2, 2, 2)
+        assert pinv(m).approx_eq(DCMatrix.identity(2))
+
+    def test_hit_builds_from_the_callers_pair(self):
+        # the memo's pair is a view that has changed since it was analysed;
+        # a hit on the old content builds from the caller's pair instead
+        base = np.zeros((2, 4), complex)
+        base[:, :2] = base[:, 2:] = np.diag([1, 2])
+        m = DCMatrix(base[:, :2], base[:, 2:])
+        rank_quadruple(m)
+        old = DCMatrix(m.a.copy(), m.b.copy())
+        base[:] = 0
+        half = np.diag([1, 0.5])
+        assert pinv(old).approx_eq(DCMatrix(half, half))
+
+    def test_refusal_is_raised_again(self, builds):
+        m = DCMatrix(np.eye(3), np.diag([1, 1 + 3e-6, 2]))
+        with pytest.raises(ClusterAmbiguity) as cold:
+            jordan_svd(m)
+        with pytest.raises(ClusterAmbiguity) as warm:
+            pinv(m)
+        assert str(warm.value) == str(cold.value)
+        _, report = attempt_jordan_svd(m)
+        assert report.reason == f"ClusterAmbiguity: {cold.value}"
+        assert len(builds) == 1
+
+    def test_threads_share_the_slot(self):
+        # more threads than cores, on two pairs that evict each other from
+        # the slot: every thread must get its own pair's pseudoinverse
+        pairs = [rank_condition_pair(4, np.random.default_rng(s), r=3) for s in (6, 7)]
+        expected = [_as_bytes(pinv(m)) for m in pairs]
+        wrong, done = [], []
+
+        def work(k):
+            for i in range(40):
+                j = (i + k) % 2
+                try:
+                    if _as_bytes(pinv(pairs[j])) != expected[j]:
+                        wrong.append(j)
+                except TessarineError as ex:
+                    wrong.append(ex)
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and not wrong
+
+    def test_non_finite_pair_is_not_kept(self):
+        m = self.pair()
+        pinv(m)
+        kept = decompositions._last
+        bad = DCMatrix([[np.nan]], [[1.0]])
+        for _ in range(2):
+            with pytest.raises(NonFiniteInput):
+                pinv(bad)
+        assert decompositions._last is kept
