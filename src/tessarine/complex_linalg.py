@@ -24,7 +24,8 @@ import numpy as np
 
 from .dcnum import DEFAULT_TOL, halfplane_sqrt
 from .dcmatrix import _as_square, max_abs
-from .errors import ClusterAmbiguity, DimensionMismatch, NilpotentBlock, NonFiniteInput
+from .errors import (ClusterAmbiguity, DimensionMismatch, NilpotentBlock,
+                     NonFiniteInput, VerificationFailed)
 
 DEFAULT_CLUSTER_GAP = 1e-6
 # Distinct eigenvalue clusters must be separated by this multiple of the
@@ -214,21 +215,6 @@ def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
     return u[:, :_sv_rank(s, keep_tol)]
 
 
-def _scaled_norm(v: np.ndarray) -> float:
-    """2-norm of v that neither under- nor overflows: it is taken on v
-    divided by a power of two near max|v|, which is exact, so in range it
-    equals ``np.linalg.norm(v)`` bit for bit.  A v whose entries are all
-    subnormal has lost its precision and reads as 0; a non-finite v gives
-    inf or nan."""
-    big = max_abs(v)
-    if big < np.finfo(float).tiny:
-        return 0.0
-    if not big < math.inf:
-        return big
-    unit = np.ldexp(1.0, np.frexp(big)[1] - 1)  # unit <= big < 2 * unit
-    return float(np.linalg.norm(v / unit) * unit)
-
-
 def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     """Jordan chains of e = a - lam I at a cluster of ``mult`` eigenvalues.
 
@@ -267,25 +253,18 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
                 raise ClusterAmbiguity("could not separate Jordan chain generators")
             gens = u[:, :need]
             members = [gens]
-            # a long chain at a large scale can overflow; it is refused below
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(k - 1):
-                    members.append(e @ members[-1])
-                # generators are unit columns; an eigenvector end may be at any scale
-                tops = np.linalg.norm(gens, axis=0)
-                ends = tops if k == 1 else [_scaled_norm(v) for v in members[-1].T]
-                norm2 = tops * ends
-            for value in norm2.tolist():
-                if not 0 < value < math.inf:
-                    raise ClusterAmbiguity(
-                        f"degenerate Jordan chain (norm product {value:.3e})"
-                    )
+            for _ in range(k - 1):
+                members.append(e @ members[-1])
+            tops = np.linalg.norm(gens, axis=0)
+            norm2 = tops * (tops if k == 1 else np.linalg.norm(members[-1], axis=0))
+            if not norm2.min() > 0:
+                raise ClusterAmbiguity(f"degenerate Jordan chain ({norm2.min():.3e})")
             # n x need x k, eigenvectors first
             level = np.stack(members[::-1], axis=2) / np.sqrt(norm2)[:, None]
             chains += [level[:, i] for i in range(need)]
             active = np.hstack([active, gens])
         if k > 1 and active.shape[1]:
-            # only their span matters: max-modulus 1 keeps it finite at any scale
+            # only their span matters: max-modulus 1 keeps them at the bases' scale
             active = e @ active
             active /= np.abs(active).max(axis=0)
     return chains
@@ -297,10 +276,9 @@ def jordan_matrix(blocks: Blocks) -> np.ndarray:
     The superdiagonal holds ones inside blocks and zeros between them.
     """
     diag = [lam for lam, size in blocks for _ in range(size)]
-    sup = [complex(i < size - 1) for _, size in blocks for i in range(size)]
-    return np.diag(np.array(diag, dtype=complex)) + np.diag(
-        np.array(sup[:-1], dtype=complex), 1
-    )
+    j = np.diag(np.array(diag, dtype=complex) + 0)  # + 0 maps -0.0 to +0.0
+    j.flat[1 :: len(diag) + 1] = [i < n - 1 for _, n in blocks for i in range(n)][:-1]
+    return j
 
 
 def _canonical_order(blocks, *column_lists) -> tuple:
@@ -325,6 +303,32 @@ def _block_spans(blocks: Blocks):
         pos += size
 
 
+def _pow2(x: np.ndarray, k) -> np.ndarray:
+    """x times 2^k, exact, for an integer k or integers k[i] for x's columns
+    i (x itself at k = 0); ``VerificationFailed`` where the largest entry of
+    x, or of a nonzero column, would leave the normal range."""
+    if not isinstance(k, np.ndarray):  # |k| <= 1023: 2^k is a double
+        if k and not -1022 < math.frexp(max_abs(x))[1] + k <= 1024 and x.any():
+            raise VerificationFailed(f"rescaling by 2^{k} leaves the range")
+        return x * 2.0**k if k else x
+    big = np.abs(x).max(axis=0, initial=0.0)
+    top = np.frexp(big)[1] + k  # 2^(top - 1) <= 2^k big < 2^top
+    if ((top > 1024) | (top < -1021) & (big > 0)).any():
+        raise VerificationFailed(f"rescaling by 2^+-{np.abs(k).max()} leaves the range")
+    return x * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)  # two normal factors
+
+
+def _rescaled(blocks: Blocks, j: np.ndarray, c: int) -> tuple:
+    """Blocks and Jordan matrix of 2^c J for J = j, and the power of two d of
+    each basis column that keeps the superdiagonal 1: c * (size // 2 - i)."""
+    if math.frexp(max((abs(lam) for lam, _ in blocks), default=0.0))[1] + c > 1024:
+        raise VerificationFailed(f"rescaling by 2^{c} leaves the range")
+    s, j = 2.0**c, j.copy()  # exact: c is the exponent of a double
+    j.reshape(-1)[:: len(j) + 1] *= s
+    d = [c * (size // 2 - i) for _, size in blocks for i in range(size)]
+    return tuple((lam * s, n) for lam, n in blocks), j, np.array(d) if any(d) else 0
+
+
 def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> JordanForm:
     """Dense Jordan decomposition for desk-scale matrices.
 
@@ -334,7 +338,7 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
     ``ClusterAmbiguity`` is raised and the caller should adjust the gap.
     A simple eigenvalue contributes its unit eigenvector; a repeated
     cluster is split into chains by the kernel staircase of a - lam I.
-    The result is verified by reconstruction.
+    It is verified on a / 2^e, of max modulus in [1, 2), and then rescaled.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -344,6 +348,8 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
     if scale == 0:
         blocks = tuple((0j, 1) for _ in range(n))
         return JordanForm(np.eye(n, dtype=complex), np.zeros((n, n), complex), blocks)
+    e = max(math.frexp(scale)[1] - 1, -1022)
+    a, scale = a / 2.0**e, scale / 2.0**e  # exact: a power of two
     gap = cluster_gap * scale
 
     eigs, vecs = np.linalg.eig(a)
@@ -369,10 +375,9 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
             blocks.append((lam, chain.shape[1]))
     blocks, p = _canonical_order(blocks, columns)
 
-    j = jordan_matrix(tuple(blocks))
+    j = jordan_matrix(blocks)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
-            residual = max_abs(p @ j @ np.linalg.inv(p) - a)
+        residual = max_abs(p @ j @ np.linalg.inv(p) - a)
     except np.linalg.LinAlgError:
         raise ClusterAmbiguity("Jordan chain basis is singular") from None
     # merging eigenvalues within the gap concedes errors up to the spread
@@ -382,7 +387,8 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
             f"Jordan reconstruction residual {residual:.3e} exceeds "
             f"{allowance:.3e}; eigenvalue structure unresolved"
         )
-    return JordanForm(p, j, tuple(blocks))
+    blocks, j, d = _rescaled(blocks, j, e)
+    return JordanForm(_pow2(p, d), j, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .complex_linalg import (
     rank,
     _block_spans,
     _canonical_order,
+    _pow2,
+    _rescaled,
     _sqrt_jordan,
     _staircase_sizes,
     _sv_rank,
@@ -106,6 +108,17 @@ class ExistenceReport:
 # ---------------------------------------------------------------------------
 
 
+def _normalized(m: DCMatrix) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """A / 2^ea, B / 2^eb, ea and eb: each max modulus in [1, 2) (e = 0 for a
+    zero operand, e >= -1022), but eb steps toward 0 where ea + eb is odd."""
+    big = max_abs(m.a), max_abs(m.b)
+    if not all(map(math.isfinite, big)):
+        raise NonFiniteInput("matrix pair has a non-finite entry")
+    ea, eb = (max(math.frexp(x)[1] - 1, -1022) if x else 0 for x in big)
+    eb -= (ea + eb) % 2 * (1 if eb > 0 else -1)
+    return m.a / 2.0**ea, m.b / 2.0**eb, ea, eb
+
+
 class _PairAnalysis:
     """The facts every decision about one pair [A, B] is made from, read off
     one alternating kernel ladder: no product is ranked.
@@ -119,33 +132,24 @@ class _PairAnalysis:
     interlacing rank AB >= rank A + rank B - n.  Level 1 is one SVD each of
     B and A, level 2 singular values only; the levels past 2, which only
     verdicts outside the rank condition need, come when first asked for.
-    Raises ``NonFiniteInput`` when the pair, AB or BA has a non-finite entry.
+    It runs on the ``_normalized`` pair, which raises ``NonFiniteInput``.
     """
 
     def __init__(
         self, m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
     ):
-        if not math.isfinite(m.norm_inf()):
-            raise NonFiniteInput("matrix pair has a non-finite entry")
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
-        with np.errstate(over="ignore", invalid="ignore"):
-            ab, self.ba = m.a @ m.b, m.b @ m.a
-        if not (np.isfinite(ab).all() and np.isfinite(self.ba).all()):
-            raise NonFiniteInput("AB or BA has a non-finite entry (overflow)")
-        self.svds = [np.linalg.svd(x) for x in (m.b, m.a)]
+        a, b, self.ea, self.eb = _normalized(m)
+        self.operands = b, a  # side 0's operand, then side 1's
+        self.svds = [np.linalg.svd(x) for x in self.operands]
         self._zero = [tol * s.max(initial=0.0) for _, s, _ in self.svds]
         self._level1 = [vh[: _sv_rank(s, tol)] for _, s, vh in self.svds]
         level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
         self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
-        self._jsvds: dict = {}  # recon_tol -> (JordanSVD, J+) or its refusal
+        self._jsvds: dict = {}  # recon_tol -> _jordan_svd's result or its refusal
 
-    @property
-    def operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """B and A: side 0's operand, then side 1's."""
-        return self.m.b, self.m.a
-
-    def jordan_svd(self, recon_tol: float) -> tuple[JordanSVD, np.ndarray]:
+    def jordan_svd(self, recon_tol: float) -> tuple[JordanSVD, tuple]:
         """``_jordan_svd`` of this pair, built once per recon_tol: a refusal
         is remembered too and raised again with its type and message."""
         if recon_tol not in self._jsvds:
@@ -327,14 +331,14 @@ def penrose_check(
 
     For m = [A,B] and k = [C,D] the axioms expand to ACA=A, BDB=B
     (axiom 1), CAC=C, DBD=D (axiom 2), BD=CA (axiom 3, Hermitian k@m)
-    and DB=AC (axiom 4, Hermitian m@k).  Residuals are compared against
-    tol relative to the operand scale.
+    and DB=AC (axiom 4, Hermitian m@k), checked on the ``_normalized`` pair
+    and [2^ea C, 2^eb D] against tol times the largest of the four scales.
     """
     if m.n != k.n:
         raise DimensionMismatch(f"dimension mismatch: {m.n} vs {k.n}")
-    a, b = m.a, m.b
-    c, d = k.a, k.b
-    ref = tol * max(1.0, m.norm_inf(), k.norm_inf())
+    a, b, ea, eb = _normalized(m)
+    c, d = _pow2(k.a, ea), _pow2(k.b, eb)
+    ref = tol * max(map(max_abs, (a, b, c, d)))
     ax1 = max_abs(a @ c @ a - a) <= ref and max_abs(b @ d @ b - b) <= ref
     ax2 = max_abs(c @ a @ c - c) <= ref and max_abs(d @ b @ d - d) <= ref
     ax3 = max_abs(b @ d - c @ a) <= ref
@@ -357,28 +361,25 @@ def naive_dc_svd(
     Reduces to the eigendecompositions AB = P D^2 P^-1 and
     BA = Q D^2 Q^-1.  Construction: eigendecompose AB, take half-plane
     roots for D, and couple Q = A^-1 P D; this needs A invertible and D
-    invertible, otherwise ``SingularComponent`` is raised.
+    invertible, otherwise ``SingularComponent`` is raised.  On the
+    ``_normalized`` pair, D = 2^c D' and Q = 2^(c - ea) Q', c = (ea + eb) / 2.
     """
     n = m.n
-    if not math.isfinite(m.norm_inf()):
-        raise NonFiniteInput("matrix pair has a non-finite entry")
-    if rank(m.a, tol) < n:
+    a, b, ea, eb = _normalized(m)
+    if rank(a, tol) < n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ab = m.a @ m.b
-    if not np.isfinite(ab).all():
-        raise NonFiniteInput("AB has a non-finite entry (overflow)")
-    lam, pvec = np.linalg.eig(ab)
+    lam, pvec = np.linalg.eig(a @ b)
     sv = np.linalg.svd(pvec, compute_uv=False)
     if _sv_rank(sv, DIAGONALIZABLE_RTOL) < n:
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
     d = np.array([halfplane_sqrt(x) for x in lam])
     if np.min(np.abs(d)) <= np.sqrt(tol) * np.max(np.abs(d)):
         raise SingularComponent("diagonal factor D is singular; coupling fails")
-    q = np.linalg.solve(m.a, pvec * d)  # A^-1 P D
+    q = np.linalg.solve(a, pvec * d)  # A^-1 P D
+    d = np.diag(_pow2(d, (ea + eb) // 2))
     u = DCMatrix(pvec, np.linalg.inv(pvec))
-    s = DCMatrix(np.diag(d), np.diag(d))
-    v = DCMatrix(q, np.linalg.inv(q))
+    s = DCMatrix(d, d)
+    v = DCMatrix(_pow2(q, (eb - ea) // 2), _pow2(np.linalg.inv(q), (ea - eb) // 2))
     _verified_residual("naive SVD", u @ s @ v.star(), m, recon_tol)
     return u, s, v
 
@@ -414,8 +415,9 @@ def jordan_svd(
     form P J P^-1; set V = [P, P^-1] and S = [J, J]; build U = [X, X^-1]
     with X = A P J+ at the nonzero blocks of J and a basis of ker B at
     its 1x1 zero blocks; check that U is unitary (|Y X - I| <= recon_tol
-    for U = [X, Y]) and verify m = U S V*.  The construction draws no
-    random numbers: ``rng`` is accepted for compatibility and ignored.
+    for U = [X, Y]) and verify m = U S V*, both on the factors returned.
+    The construction draws no random numbers: ``rng`` is accepted for
+    compatibility and ignored.
     """
     pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
@@ -425,35 +427,39 @@ def jordan_svd(
     return pa.jordan_svd(recon_tol)[0]
 
 
-def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, np.ndarray]:
-    """``jordan_svd`` of a pair known to meet the rank condition, with J+."""
-    m = pa.m
+def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
+    """``jordan_svd`` of a pair meeting the rank condition, built on the
+    ``_normalized`` pair, whose (P, J+, Y, X, P^-1) it also returns, and rescaled:
+    J by 2^c, c = (ea + eb) / 2, P and X by ``_rescaled``, X by 2^((ea - eb) / 2)."""
+    b, a = pa.operands
     # J's zero blocks are the n - rank BA that the rank quadruple counts
-    _, root_jf, p_inv = _sqrt_jordan(pa.ba, pa.cluster_gap, pa.ranks[3])
-    p, j, blocks = root_jf.p, root_jf.j, root_jf.blocks
-    v = DCMatrix(p, p_inv)
-    s = DCMatrix(j, j)
+    _, root_jf, p_inv = _sqrt_jordan(b @ a, pa.cluster_gap, pa.ranks[3])
+    p, j = root_jf.p, root_jf.j
     j_pinv = _jordan_pinv(j)
 
-    # A P = X J fixes X at J's nonzero blocks; B X = P J puts ker B at its
-    # zero blocks, times one power of two near max|A P J+|: exact, and U's
-    # columns meet at one scale under a gauge (sA, B/s)
-    x = m.a @ p @ j_pinv
-    zero = [span.start for lam, span in _block_spans(blocks) if lam == 0]
+    # A P = X J fixes X at J's nonzero blocks, B X = P J puts ker B at its zero ones
+    x = a @ p @ j_pinv
+    zero = [span.start for lam, span in _block_spans(root_jf.blocks) if lam == 0]
     if zero:
-        x[:, zero] = pa.image_and_kernel(0)[1] * np.ldexp(1.0, np.frexp(max_abs(x))[1])
+        x[:, zero] = pa.image_and_kernel(0)[1]
     try:
         y = np.linalg.inv(x)
     except np.linalg.LinAlgError:
         raise VerificationFailed("U is not unitary: X is singular") from None
-    drift = _gram_drift(x, y)
+
+    blocks, j, d = _rescaled(root_jf.blocks, j, (pa.ea + pa.eb) // 2)
+    dx = d + (pa.ea - pa.eb) // 2
+    u = DCMatrix(_pow2(x, dx), _pow2(y.T, -dx).T)  # Y's rows scale inversely
+    v = DCMatrix(_pow2(p, d), _pow2(p_inv.T, -d).T)
+    drift = _gram_drift(u.a, u.b)
     if not drift <= recon_tol:
         raise VerificationFailed(
             f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
         )
-    u = DCMatrix(x, y)
-    residual = _verified_residual("Jordan SVD", u @ s @ v.star(), m, recon_tol)
-    return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual), j_pinv
+    s = DCMatrix(j, j)
+    residual = _verified_residual("Jordan SVD", u @ s @ v.star(), pa.m, recon_tol)
+    jsvd = JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
+    return jsvd, (p, j_pinv, y, x, p_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +595,8 @@ def pinv(
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd, j_pinv = pa.jordan_svd(recon_tol)
-    k = jsvd.v @ DCMatrix(j_pinv, j_pinv) @ jsvd.u.star()
+    p, j_pinv, y, x, p_inv = pa.jordan_svd(recon_tol)[1]
+    k = DCMatrix(_pow2(p @ j_pinv @ y, -pa.ea), _pow2(x @ (j_pinv @ p_inv), -pa.eb))
     axioms = penrose_check(m, k, recon_tol)
     if not all(axioms):
         raise VerificationFailed(f"axioms {list(axioms)}")
@@ -613,10 +619,10 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
         )
     im_b, ker_b = pa.image_and_kernel(0)
     im_a, ker_a = pa.image_and_kernel(1)
-
-    c = _reverse_diagram(m.a, im_b, ker_b, tol=tol, name="Im(A) + ker(B)")
-    d = _reverse_diagram(m.b, im_a, ker_a, tol=tol, name="Im(B) + ker(A)")
-    return DCMatrix(c, d)
+    b, a = pa.operands  # normalized: an image meets the unit kernel at one scale
+    c = _reverse_diagram(a, im_b, ker_b, tol=tol, name="Im(A) + ker(B)")
+    d = _reverse_diagram(b, im_a, ker_a, tol=tol, name="Im(B) + ker(A)")
+    return DCMatrix(_pow2(c, -pa.ea), _pow2(d, -pa.eb))
 
 
 def _reverse_diagram(
@@ -628,15 +634,11 @@ def _reverse_diagram(
 ) -> np.ndarray:
     """Build the inverse map x with x (a @ source) = source and x kernel = 0."""
     n = a.shape[0]
-    mapped = a @ source_image
-    unit = np.ldexp(1.0, np.frexp(max_abs(mapped))[1])  # exact: a's scale drops out
-    stack = np.hstack([mapped / unit, kernel])
+    stack = np.hstack([a @ source_image, kernel])
     sv = np.linalg.svd(stack, compute_uv=False)
     if _sv_rank(sv, tol) < n:
         raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
-    target = np.hstack(
-        [source_image / unit, np.zeros((n, kernel.shape[1]), dtype=complex)]
-    )
+    target = np.hstack([source_image, np.zeros((n, kernel.shape[1]), dtype=complex)])
     return target @ np.linalg.inv(stack)
 
 

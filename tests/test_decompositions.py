@@ -38,6 +38,7 @@ from tessarine.errors import (
     PreconditionFailed,
     SingularComponent,
     TessarineError,
+    VerificationFailed,
 )
 from tessarine.explorer import rank_condition_pair, uniqueness_scan
 
@@ -790,27 +791,50 @@ class TestNonFiniteInput:
         "uniqueness_scan": uniqueness_scan,
     }
 
+    # what each pair entry point returns for [[1e200]], [[1e200]]
+    AT_1E200 = {
+        "attempt_jordan_svd": lambda r: r[0].blocks == ((1e200 + 0j, 1),)
+        and r[1].jsvd_status is JsvdStatus.EXISTS,
+        "jordan_svd": lambda r: r.blocks == ((1e200 + 0j, 1),) and r.residual == 0,
+        "pinv": lambda k: k.approx_eq(DCMatrix([[1e-200]], [[1e-200]]), 0),
+        "pinv_via_diagrams": lambda k: k.approx_eq(DCMatrix([[1e-200]], [[1e-200]]), 0),
+        "polar": lambda pd: pd.unitary_factor.approx_eq(DCMatrix.identity(1), 0)
+        and pd.hermitian_factor.approx_eq(DCMatrix([[1e200]], [[1e200]]), 0),
+        "naive_dc_svd": lambda usv: usv[1].approx_eq(DCMatrix([[1e200]], [[1e200]]), 0),
+        "pinv_exists": lambda r: r == (True, (1, 1, 1, 1)),
+        "rank_quadruple": lambda r: r == (1, 1, 1, 1),
+        "jsvd_necessary": lambda r: r == (True, True, True),
+        "uniqueness_scan": lambda r: r.verdict == "stable_j"
+        and r.reference_blocks == [[1e200, 0.0, 1]],
+    }
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", list(PAIR_ENTRY_POINTS))
     def test_overflowing_product_raises(self, entry):
-        # finite entries whose products overflow: AB = BA = [[inf]]; the
-        # pseudoinverse [[1e-200]] exists, so "no pseudoinverse" is wrong
-        with pytest.raises(NonFiniteInput):
-            self.PAIR_ENTRY_POINTS[entry](DCMatrix([[1e200]], [[1e200]]))
+        # finite entries whose products overflow, AB = BA = [[1e400]]: once
+        # NonFiniteInput, now answered on the normalized pair [[1]], [[1]]
+        # and rescaled exactly: the pseudoinverse [[1e-200]], J = [[1e200]]
+        got = self.PAIR_ENTRY_POINTS[entry](DCMatrix([[1e200]], [[1e200]]))
+        assert self.AT_1E200[entry](got)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_in_ba_alone_raises(self):
+        # BA overflows and AB does not: once NonFiniteInput, now the verdicts
+        # of the pair at scale 1
         a = np.array([[1e200, 0], [0, 0]], dtype=complex)
         b = np.array([[0, 0], [1e200, 0]], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isfinite(a @ b).all() and not np.isfinite(b @ a).all()
-        with pytest.raises(NonFiniteInput):
-            pinv_exists(DCMatrix(a, b))
+        assert pinv_exists(DCMatrix(a, b)) == (False, (1, 1, 0, 1))
+        want = attempt_jordan_svd(DCMatrix(a / 1e200, b / 1e200))[1]
+        assert attempt_jordan_svd(DCMatrix(a, b))[1] == want
 
 
 @pytest.mark.filterwarnings("error")
 class TestOverflowingJordanChains:
-    """At scale 1e150 chains of length 3 resolve, but the Jordan basis of
-    the root is too ill-conditioned for a unitary U: the library refuses,
-    quietly.  A chain of length 4 overflows."""
+    """At scale 1e150 the Jordan chains resolve, but the Jordan basis of the
+    root is too ill-conditioned for a unitary U: the library refuses,
+    quietly.  A chain of length 6 leaves the double range."""
 
     @staticmethod
     def pair():
@@ -838,20 +862,35 @@ class TestOverflowingJordanChains:
         assert report.reason.startswith("VerificationFailed: ")
 
     def test_four_long_chain(self):
+        # once refused; now the form of a / 2^e, max modulus in [1, 2),
+        # rescaled exactly: column i of the chain by 2^(e (2 - i))
         j = jordan_matrix(((1 + 0j, 4), (3 + 0j, 1)))
         p = crand(np.random.default_rng(0), 5)
-        with pytest.raises(ClusterAmbiguity):
-            jordan_decomposition(1e150 * (p @ j @ np.linalg.inv(p)), cluster_gap=1e-4)
+        a = 1e150 * (p @ j @ np.linalg.inv(p))
+        jf = jordan_decomposition(a, cluster_gap=1e-4)
+        assert [size for _, size in jf.blocks] == [4, 1]
+        assert [lam / 1e150 for lam, _ in jf.blocks] == pytest.approx([1, 3], rel=1e-8)
+        e = int(np.frexp(max_abs(a))[1]) - 1
+        unit = jordan_decomposition(a / 2.0**e, cluster_gap=1e-4)
+        assert jf.blocks == tuple((lam * 2.0**e, size) for lam, size in unit.blocks)
+        assert np.array_equal(jf.p, unit.p * 2.0 ** (e * np.array([2, 1, 0, -1, 0])))
+        # a chain of length 6 would need a column of 2^(3 e)
+        j = jordan_matrix(((1 + 0j, 6), (3 + 0j, 1)))
+        p = crand(np.random.default_rng(0), 7)
+        jordan_decomposition(p @ j @ np.linalg.inv(p), cluster_gap=1e-2)
+        with pytest.raises(VerificationFailed, match="leaves the range"):
+            jordan_decomposition(1e150 * (p @ j @ np.linalg.inv(p)), cluster_gap=1e-2)
 
     def test_overflowing_reconstruction_is_refused(self):
-        # BA near 1e300 with a J_2(1) block: the reconstruction overflows to
-        # a NaN residual, which the gate refuses (exists at scale 1)
+        # BA near 1e300 with a J_2(1) block (exists at scale 1): the form is
+        # built on the normalized pair, and the unitarity gate then refuses
+        # the rescaled U, whose root chain spans a factor 2^498
         a = np.array([[1, 1, 1], [0, 0, 0], [1, 1, 0]])
         b = np.array([[0, 0, 1], [0, 0, 0], [1, 1, 1]])
         assert attempt_jordan_svd(DCMatrix(a, b))[1].jsvd_status is JsvdStatus.EXISTS
         jsvd, report = attempt_jordan_svd(DCMatrix(1e150 * a, 1e150 * b))
         assert report.jsvd_status is JsvdStatus.UNKNOWN
-        assert report.reason.startswith("ClusterAmbiguity: Jordan reconstruction")
+        assert report.reason.startswith("VerificationFailed: U is not unitary")
 
 
 def two_block_matrix():
@@ -1027,14 +1066,76 @@ class TestScaleRelative:
         with pytest.raises(TessarineError, match="residual nan"):
             polar_to_jsvd(pd)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="penrose_check bounds every axiom by tol * max(1, |m|, |k|): "
-        "at scale 1e-12 the zero matrix passes all four",
-    )
     def test_penrose_check_has_no_floor(self):
         m = _scaled(rand_pair(np.random.default_rng(0), 3), 1e-12)
         assert not all(penrose_check(m, DCMatrix.zeros(3), 1e-7))
+
+
+@st.composite
+def rank_condition_draws(draw):
+    """A ``rank_condition_pair`` of size 1 to 6 and an exponent k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rank_condition_pair(draw(st.integers(1, 6)), rng), draw(st.integers(-700, 700))
+
+
+def _outcome(factor, m):
+    try:
+        return factor(m)
+    except TessarineError as ex:
+        return type(ex)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rank_condition_draws())
+def test_power_of_two_scaling_is_exact(case):
+    # every pair is factored as its normalized pair, so 2^k m gives the
+    # results of m rescaled bit for bit
+    m, k = case
+    s = 2.0**k
+    big = _scaled(m, s)
+    assert rank_quadruple(big) == rank_quadruple(m)
+    (jsvd, report), (big_jsvd, big_report) = attempt_jordan_svd(m), attempt_jordan_svd(big)
+    assert big_report == report
+    if jsvd is not None:
+        assert big_jsvd.blocks == tuple((lam * s, size) for lam, size in jsvd.blocks)
+    for factor in (pinv, pinv_via_diagrams):
+        want, got = _outcome(factor, m), _outcome(factor, big)
+        if isinstance(want, DCMatrix):
+            assert np.array_equal(got.a, want.a / s) and np.array_equal(got.b, want.b / s)
+        else:
+            assert got is want
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rank_condition_draws())
+def test_pinv_commutes_with_star(case):
+    # [A, B]* = [B, A] moves the odd power of two from B's scale to A's
+    m, _ = case
+    want = pinv(m).star()
+    assert (pinv(m.star()) - want).norm_inf() <= 1e-10 * want.norm_inf()
+
+
+def long_chain_pair():
+    """[I, P J P^-1] with J = J_4(1) + J_1(3): the root of BA has a chain
+    of length 4."""
+    p = crand(np.random.default_rng(0), 5)
+    return DCMatrix(np.eye(5), p @ jordan_matrix(((1 + 0j, 4), (3 + 0j, 1))) @ np.linalg.inv(p))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1000, -1000])
+@pytest.mark.parametrize("entry", list(TestNonFiniteInput.PAIR_ENTRY_POINTS))
+def test_extreme_scales_stay_in_the_hierarchy(entry, k):
+    # at 2^+-1000 a rescaled factor may leave the double range: then a
+    # TessarineError, never a RuntimeWarning or an OverflowError
+    call = TestNonFiniteInput.PAIR_ENTRY_POINTS[entry]
+    for m in (rank_condition_pair(4, np.random.default_rng(3)), long_chain_pair()):
+        try:
+            call(_scaled(m, 2.0**k))
+        except TessarineError:
+            pass
+    with pytest.raises(VerificationFailed, match="leaves the range"):
+        jordan_decomposition(2.0**k * long_chain_pair().b, cluster_gap=1e-4)
 
 
 class TestInversesPerCall:
