@@ -17,6 +17,7 @@ functions raise ``ClusterAmbiguity`` rather than guessing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -215,17 +216,20 @@ def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
     return u[:, :_sv_rank(s, keep_tol)]
 
 
-def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
+def _cluster_chains(
+    e: np.ndarray, mult: int, zero: float
+) -> tuple[np.ndarray, list[int]]:
     """Jordan chains of e = a - lam I at a cluster of ``mult`` eigenvalues.
 
     ker e^k lies in the cluster's generalized eigenspace, so the kernel
     staircase of e, with singular values up to ``zero`` counted as zero,
-    must stop at exactly ``mult`` dimensions.  Returns one n x size array
-    per chain, columns ordered eigenvector first, so that e maps column
-    i+1 to column i.  The generators of all chains of one height come from
-    one SVD as unit columns, so a semisimple cluster (a staircase of one
-    level) takes its chains from one basis; a longer chain is scaled by the
-    norms of its two end columns.
+    must stop at exactly ``mult`` dimensions.  Returns the chains' columns,
+    chain after chain, each ordered eigenvector first so that e maps column
+    i+1 to column i, and the chains' sizes, largest first.  A semisimple
+    cluster (a staircase of one level) takes the staircase's orthonormal
+    kernel basis as its eigenvectors.  Otherwise the generators of all
+    chains of one height come from one SVD as unit columns, and a chain is
+    scaled by the norms of its two end columns.
     """
     bases = _kernel_staircase(e, zero, stop=mult)
     if bases[-1].shape[1] != mult:
@@ -237,6 +241,8 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
     sizes = _staircase_sizes([basis.shape[1] for basis in bases])
     if sum(sizes) != mult:
         raise ClusterAmbiguity("invalid nullity profile for a Jordan structure")
+    if len(bases) == 1:
+        return bases[0], sizes
 
     chains: list[np.ndarray] = []
     active = bases[0][:, :0]
@@ -244,10 +250,8 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
         need = sizes.count(k)
         if need > 0:
             obstruction = np.hstack([bases[k - 2], active]) if k >= 2 else active
-            cand = bases[k - 1]
-            if obstruction.shape[1]:
-                q = _orth_columns(obstruction)
-                cand = cand - q @ (q.conj().T @ cand)
+            q = _orth_columns(obstruction)
+            cand = bases[k - 1] - q @ (q.conj().T @ bases[k - 1])
             u, sv, _ = np.linalg.svd(cand, full_matrices=False)
             if len(sv) < need or sv[need - 1] < 1e-6:
                 raise ClusterAmbiguity("could not separate Jordan chain generators")
@@ -259,15 +263,15 @@ def _cluster_chains(e: np.ndarray, mult: int, zero: float) -> list[np.ndarray]:
             norm2 = tops * (tops if k == 1 else np.linalg.norm(members[-1], axis=0))
             if not norm2.min() > 0:
                 raise ClusterAmbiguity(f"degenerate Jordan chain ({norm2.min():.3e})")
-            # n x need x k, eigenvectors first
+            # n x need x k, eigenvectors first: chain after chain once flattened
             level = np.stack(members[::-1], axis=2) / np.sqrt(norm2)[:, None]
-            chains += [level[:, i] for i in range(need)]
+            chains.append(level.reshape(len(e), need * k))
             active = np.hstack([active, gens])
         if k > 1 and active.shape[1]:
             # only their span matters: max-modulus 1 keeps them at the bases' scale
             active = e @ active
             active /= np.abs(active).max(axis=0)
-    return chains
+    return np.hstack(chains), sizes
 
 
 def jordan_matrix(blocks: Blocks) -> np.ndarray:
@@ -281,18 +285,18 @@ def jordan_matrix(blocks: Blocks) -> np.ndarray:
     return j
 
 
-def _canonical_order(blocks, *column_lists) -> tuple:
-    """Blocks in canonical order, with per-block columns stacked to match.
-
-    Returns (blocks, stacked, ...) with one stacked matrix per list in
-    ``column_lists``; ties keep their input order.
+def _canonical_order(blocks) -> tuple[Blocks, list[int]]:
+    """Blocks in canonical order, and the permutation that puts their
+    columns, stacked block after block, in that order: column ``cols[i]``
+    goes to position i.  Ties keep their input order.
     """
     keys = [(lam.real, lam.imag, -size) for lam, size in blocks]
     order = sorted(range(len(blocks)), key=keys.__getitem__)
-    return (
-        tuple(blocks[i] for i in order),
-        *(np.concatenate([cols[i] for i in order], axis=1) for cols in column_lists),
-    )
+    cols = order  # while every block is one column
+    if any(size > 1 for _, size in blocks):
+        starts = list(itertools.accumulate((size for _, size in blocks), initial=0))
+        cols = [c for i in order for c in range(starts[i], starts[i + 1])]
+    return tuple(blocks[i] for i in order), cols
 
 
 def _block_spans(blocks: Blocks):
@@ -312,10 +316,15 @@ def _pow2(x: np.ndarray, k) -> np.ndarray:
             raise VerificationFailed(f"rescaling by 2^{k} leaves the range")
         return x * 2.0**k if k else x
     big = np.abs(x).max(axis=0, initial=0.0)
-    top = np.frexp(big)[1] + k  # 2^(top - 1) <= 2^k big < 2^top
-    if ((top > 1024) | (top < -1021) & (big > 0)).any():
-        raise VerificationFailed(f"rescaling by 2^+-{np.abs(k).max()} leaves the range")
-    return x * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)  # two normal factors
+    ks = k.tolist()  # a few columns: plain floats beat small-array ufuncs
+    for b, t, j in zip(big.tolist(), np.frexp(big)[1].tolist(), ks):
+        # 2^(t - 1) <= b < 2^t; past 2^2046 a factor below would overflow
+        if t + j > 1024 or t + j < -1021 and b or j > 2046:
+            raise VerificationFailed(
+                f"rescaling by 2^+-{np.abs(k).max()} leaves the range"
+            )
+    first = np.array([2.0 ** (j // 2) for j in ks])  # two normal factors
+    return x * first * np.array([2.0 ** (j - j // 2) for j in ks])
 
 
 def _rescaled(blocks: Blocks, j: np.ndarray, c: int) -> tuple:
@@ -340,6 +349,13 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
     cluster is split into chains by the kernel staircase of a - lam I.
     It is verified on a / 2^e, of max modulus in [1, 2), and then rescaled.
     """
+    return _jordan_form(a, cluster_gap)[0]
+
+
+def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray]:
+    """``jordan_decomposition`` of a along with the inverse of its basis P:
+    the inverse the residual gate computes, its rows rescaled inversely to
+    P's columns."""
     a = _as_square(a)
     n = a.shape[0]
     scale = max_abs(a)
@@ -347,7 +363,8 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
         raise NonFiniteInput("matrix has a non-finite entry")
     if scale == 0:
         blocks = tuple((0j, 1) for _ in range(n))
-        return JordanForm(np.eye(n, dtype=complex), np.zeros((n, n), complex), blocks)
+        eye = np.eye(n, dtype=complex)
+        return JordanForm(eye, np.zeros((n, n), complex), blocks), eye.copy()
     e = max(math.frexp(scale)[1] - 1, -1022)
     a, scale = a / 2.0**e, scale / 2.0**e  # exact: a power of two
     gap = cluster_gap * scale
@@ -358,28 +375,34 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
 
     max_spread = 0.0
     blocks: list[tuple[complex, int]] = []
-    columns: list[np.ndarray] = []
+    # P's columns block after block, in cluster order, as indices into the
+    # ``width`` columns of ``stack``: unit eigenvectors, then chains
+    stack, picks, width = [unit], [], n
     for idx in clusters:
         if len(idx) == 1:
             # a simple eigenvalue: its chain is its unit eigenvector;
             # + 0j maps -0.0 to +0.0 as np.mean does
-            columns.append(unit[:, idx[0] : idx[0] + 1])
+            picks.append(idx[0])
             blocks.append((complex(eigs[idx[0]]) + 0j, 1))
             continue
         lam = complex(np.mean(eigs[idx]))
         spread = float(max(abs(eigs[i] - lam) for i in idx))
         max_spread = max(max_spread, spread)
         zero = SEPARATION_FACTOR * max(spread, 1e-12 * scale)
-        for chain in _cluster_chains(a - lam * np.eye(n), len(idx), zero):
-            columns.append(chain)
-            blocks.append((lam, chain.shape[1]))
-    blocks, p = _canonical_order(blocks, columns)
+        chains, sizes = _cluster_chains(a - lam * np.eye(n), len(idx), zero)
+        picks += range(width, width + len(idx))
+        width += len(idx)
+        stack.append(chains)
+        blocks += [(lam, size) for size in sizes]
+    blocks, cols = _canonical_order(blocks)
+    p = np.concatenate(stack, axis=1).take([picks[c] for c in cols], axis=1)
 
     j = jordan_matrix(blocks)
     try:
-        residual = max_abs(p @ j @ np.linalg.inv(p) - a)
+        p_inv = np.linalg.inv(p)
     except np.linalg.LinAlgError:
         raise ClusterAmbiguity("Jordan chain basis is singular") from None
+    residual = max_abs(p @ j @ p_inv - a)
     # merging eigenvalues within the gap concedes errors up to the spread
     allowance = JORDAN_RECON_TOL * scale + SEPARATION_FACTOR * max_spread
     if not residual <= allowance:
@@ -388,7 +411,7 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
             f"{allowance:.3e}; eigenvalue structure unresolved"
         )
     blocks, j, d = _rescaled(blocks, j, e)
-    return JordanForm(_pow2(p, d), j, blocks)
+    return JordanForm(_pow2(p, d), j, blocks), _pow2(p_inv.T, -d).T
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +464,21 @@ def _sqrt_jordan(
     a: np.ndarray, cluster_gap: float, rank_a: int
 ) -> tuple[np.ndarray, JordanForm, np.ndarray]:
     """``sqrt_jordan_factors`` of an a of rank ``rank_a``, with the inverse
-    of the root's Jordan basis as a third value."""
-    jf = jordan_decomposition(a, cluster_gap=cluster_gap)
+    of the root's Jordan basis as a third value.
+
+    The root's basis is a's basis P times T, block-diagonal with each
+    chain block's small chain basis and ones elsewhere, so its inverse is
+    the builder's P^-1 solved against T; one column permutation puts both
+    in canonical order.
+    """
+    jf, p_inv = _jordan_form(a, cluster_gap)
     scale = max_abs(a)
     axis_tol = cluster_gap * scale
     by_modulus = sorted(range(len(jf.blocks)), key=lambda i: abs(jf.blocks[i][0]))
     zero = set(by_modulus[: a.shape[0] - rank_a])
 
     root_blocks: list[tuple[complex, int]] = []
-    cols: list[np.ndarray] = []
+    t = None  # no chain block: T = I
     for i, (lam, span) in enumerate(_block_spans(jf.blocks)):
         size = span.stop - span.start
         if i in zero:
@@ -459,22 +488,25 @@ def _sqrt_jordan(
                     "no primary square root exists along this structure"
                 )
             root_blocks.append((0j, 1))
-            cols.append(jf.p[:, span])
-        else:
-            mu = halfplane_sqrt(lam, axis_tol)
-            root_blocks.append((mu, size))
-            # a 1x1 block's chain basis is [[1]]
-            cols.append(jf.p[:, span] if size == 1
-                        else jf.p[:, span] @ _root_chain_basis(lam, mu, size))
+            continue
+        mu = halfplane_sqrt(lam, axis_tol)
+        root_blocks.append((mu, size))
+        if size > 1:  # a 1x1 block's chain basis is [[1]]
+            if t is None:
+                t = np.eye(len(a), dtype=complex)
+            t[span, span] = _root_chain_basis(lam, mu, size)
+    p = jf.p
+    if t is not None:
+        p, p_inv = p @ t, np.linalg.solve(t, p_inv)
 
     # canonical re-sort of the root's blocks (sqrt reshuffles the order)
-    blocks, p_root = _canonical_order(root_blocks, cols)
-    root_jf = JordanForm(p_root, jordan_matrix(blocks), blocks)
-    p_inv = np.linalg.inv(p_root)
-    root = p_root @ root_jf.j @ p_inv
+    blocks, cols = _canonical_order(root_blocks)
+    root_jf = JordanForm(p.take(cols, axis=1), jordan_matrix(blocks), blocks)
+    p_inv = p_inv.take(cols, axis=0)
+    root = root_jf.p @ root_jf.j @ p_inv
 
     residual = max_abs(root @ root - a)
-    if residual > SQRT_RECON_TOL * scale:
+    if not residual <= SQRT_RECON_TOL * scale:
         raise ClusterAmbiguity(
             f"square-root residual {residual:.3e} exceeds "
             f"{SQRT_RECON_TOL:.1e} * scale; input structure unresolved"

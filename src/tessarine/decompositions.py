@@ -24,11 +24,12 @@ from .dcmatrix import DCMatrix, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
-    jordan_decomposition,
+    jordan_decomposition,  # noqa: F401 - re-exported
     jordan_matrix,
     rank,
     _block_spans,
     _canonical_order,
+    _jordan_form,
     _pow2,
     _rescaled,
     _sqrt_jordan,
@@ -390,13 +391,19 @@ def naive_dc_svd(
 
 
 def _jordan_pinv(j: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of a canonical Jordan matrix j in one inversion.
+    """Pseudoinverse of a canonical Jordan matrix j whose every block is
+    invertible or the 1x1 zero.
 
-    Valid when every block is invertible or the 1x1 zero: a zero block is
-    a zero row and column of j, so j with a one in its place inverts to
-    j's blockwise inverse with a one there, which is then removed.
+    A diagonal j inverts entrywise, a zero staying zero.  Otherwise, in one
+    inversion: a zero block is a zero row and column of j, so j with a one
+    in its place inverts to j's blockwise inverse with a one there, which
+    is then removed.
     """
-    ones = np.diag(np.diag(j) == 0)
+    d = np.diag(j)
+    if not j.diagonal(1).any():
+        zero = d == 0
+        return np.diag((1 - zero) / (d + zero))
+    ones = np.diag(d == 0)
     return np.linalg.inv(j + ones) - ones
 
 
@@ -469,15 +476,17 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
 
 def _halfplane_normalized_factors(
     h: np.ndarray, cluster_gap: float
-) -> tuple[Blocks, np.ndarray, np.ndarray]:
+) -> tuple[Blocks, np.ndarray, np.ndarray, np.ndarray]:
     """Factor h = W Jt Z^-1 with [h,h] = [W,W^-1][Jt,Jt][Z,Z^-1]*, W = Z * E.
 
-    Returns Jt's blocks, Z and E.  Jt is canonical Jordan with half-plane
-    eigenvalues: a block whose eigenvalue falls outside is sign-flipped, the
-    flip absorbed by the unitary [E,E] (E a row of +/-1 per block) and the
-    alternating-sign similarity that restores unit superdiagonals.
+    Returns Jt's blocks, Z, Z^-1 and E.  Jt is canonical Jordan with
+    half-plane eigenvalues: a block whose eigenvalue falls outside is
+    sign-flipped, the flip absorbed by the unitary [E,E] (E a row of +/-1
+    per block) and the alternating-sign similarity S that restores unit
+    superdiagonals.  Z = P S for h's Jordan basis P, so Z^-1 = S P^-1 is the
+    builder's P^-1 with the signs applied to its rows.
     """
-    jf = jordan_decomposition(h, cluster_gap=cluster_gap)
+    jf, p_inv = _jordan_form(h, cluster_gap)
     axis_tol = cluster_gap * max_abs(h)
     blocks, z_signs, flips = [], [], []
     for lam, size in jf.blocks:
@@ -485,10 +494,10 @@ def _halfplane_normalized_factors(
         blocks.append((-lam if flip else lam, size))
         z_signs += [(-1.0) ** i if flip else 1.0 for i in range(size)]
         flips += [-1.0 if flip else 1.0] * size
-    z = jf.p * z_signs
-    e = np.array([flips])
-    spans = [span for _, span in _block_spans(jf.blocks)]
-    return _canonical_order(blocks, [z[:, c] for c in spans], [e[:, c] for c in spans])
+    blocks, cols = _canonical_order(blocks)
+    signs, e = np.array(z_signs), np.array([flips])
+    z, z_inv = jf.p * signs, p_inv * signs[:, None]
+    return blocks, z.take(cols, axis=1), z_inv.take(cols, axis=0), e.take(cols, axis=1)
 
 
 def polar_to_jsvd(
@@ -502,7 +511,8 @@ def polar_to_jsvd(
 
     Jordan-decomposes the Hermitian factor [H,H] as Q J Q^-1, giving
     m = (U [Q,Q^-1]) [J,J] [Q,Q^-1]*, then normalizes the eigenvalues of
-    J into the half-plane.
+    J into the half-plane.  Q^-1 is the inverse the Jordan builder's
+    residual gate computed, so no matrix is inverted here.
     """
     hf = pd.hermitian_factor
     if not all(math.isfinite(f.norm_inf()) for f in (pd.unitary_factor, hf)):
@@ -510,12 +520,12 @@ def polar_to_jsvd(
     if not _is_hermitian(hf, tol):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
-    blocks, z, e = _halfplane_normalized_factors(h, cluster_gap)
+    blocks, z, z_inv, e = _halfplane_normalized_factors(h, cluster_gap)
     jt = jordan_matrix(blocks)
     s = DCMatrix(jt, jt)
-    v = DCMatrix(z, np.linalg.inv(z))
+    v = DCMatrix(z, z_inv)
     with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
-        u = pd.unitary_factor @ DCMatrix(z * e, e.T * v.b)  # W^-1 = E Z^-1
+        u = pd.unitary_factor @ DCMatrix(z * e, e.T * z_inv)  # W^-1 = E Z^-1
         residual = _verified_residual(
             "polar-to-JSVD", u @ s @ v.star(), pd.reconstruct(), recon_tol
         )

@@ -11,8 +11,15 @@ from hypothesis import given, settings, strategies as st
 from tessarine import complex_linalg, decompositions, explorer
 from tessarine.dcmatrix import DCMatrix, direct_sum, embed_complex, max_abs
 from tessarine.dcnum import DEFAULT_TOL
-from tessarine.complex_linalg import jordan_decomposition, jordan_matrix, similar
+from tessarine.complex_linalg import (
+    jordan_decomposition,
+    jordan_matrix,
+    pinv_complex,
+    similar,
+    _same_structure,
+)
 from tessarine.decompositions import (
+    DEFAULT_RECON_TOL,
     JsvdStatus,
     PolarDecomposition,
     attempt_jordan_svd,
@@ -41,6 +48,7 @@ from tessarine.errors import (
     VerificationFailed,
 )
 from tessarine.explorer import rank_condition_pair, uniqueness_scan
+from tessarine.orthonormal import _gram_drift
 
 
 def crand(rng, n):
@@ -1139,8 +1147,9 @@ def test_extreme_scales_stay_in_the_hierarchy(entry, k):
 
 
 class TestInversesPerCall:
-    """One inverse per similarity: the Jordan basis of BA, the root's basis
-    (shared by V), J's nonzero blocks (shared by pinv) and X."""
+    """At most one inverse per similarity: the Jordan basis of BA, inverted
+    by its builder's gate (the root's basis, shared by V, reuses it), J's
+    nonzero blocks (shared by pinv) where J is not diagonal, and X."""
 
     @pytest.fixture
     def inversions(self, monkeypatch):
@@ -1163,48 +1172,136 @@ class TestInversesPerCall:
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_polar_to_jsvd_at_most_two(self, inversions, n):
-        # the Jordan basis of H and Z; W^-1 is Z^-1 with rows sign-flipped
+        # the Jordan basis of H, by its builder's gate: Z^-1 is its inverse
+        # with the signs applied, W^-1 that with rows sign-flipped
         pd = polar(rank_condition_pair(n, np.random.default_rng(n), r=n // 2))
         inversions.clear()
         polar_to_jsvd(pd)
         assert len(inversions) <= 2
 
 
+class TestInverseReuse:
+    """The root's basis inverse is the Jordan builder's P^-1, solved against
+    the chain blocks' small chain bases when the root has a chain; the round
+    trip's Z^-1 is that inverse with signs; a semisimple cluster takes the
+    staircase's kernel basis.  Every gate holds on the factors built."""
+
+    @staticmethod
+    def check_factors(m):
+        jsvd = jordan_svd(m)
+        assert _gram_drift(jsvd.u.a, jsvd.u.b) <= DEFAULT_RECON_TOL
+        assert all(penrose_check(m, pinv(m), DEFAULT_RECON_TOL))
+        round_trip = polar_to_jsvd(polar(m))
+        assert _gram_drift(round_trip.v.a, round_trip.v.b) <= DEFAULT_RECON_TOL
+        match_tol = 1e-6 * max(abs(lam) for lam, _ in jsvd.blocks)
+        assert _same_structure(round_trip.blocks, jsvd.blocks, match_tol)
+        return jsvd
+
+    def test_root_chain_block_solves_against_its_basis(self, monkeypatch):
+        # BA = J_2(1) + [3]: the root has a size-2 block
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        m = DCMatrix(np.eye(3), jordan_matrix(((1 + 0j, 2), (3 + 0j, 1))))
+        jsvd = self.check_factors(m)
+        assert [size for _, size in jsvd.blocks] == [2, 1]
+        assert solves
+
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1e-150])
+    def test_semisimple_zero_cluster(self, s):
+        # BA = diag(2, 0, 0): a zero cluster of 2 with a one-level staircase
+        m = _scaled(DCMatrix(np.diag([1.0, 0, 0]), np.diag([2.0, 0, 0])), s)
+        jsvd = self.check_factors(m)
+        assert [size for _, size in jsvd.blocks] == [1, 1, 1]
+        assert sum(lam == 0 for lam, _ in jsvd.blocks) == 2
+
+
+@st.composite
+def gauged_rank_condition_draws(draw):
+    """A ``rank_condition_pair`` of size 1 to 6 and two gauge factors X, Y."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rank_condition_pair(draw(st.integers(1, 6)), rng)
+    return m, _gauge_factor(rng, m.n), _gauge_factor(rng, m.n)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(gauged_rank_condition_draws())
+def test_unitary_gauge_keeps_j(case):
+    # [X, X^-1] m [Y, Y^-1]* = [X A Y^-1, Y B X^-1]: BA goes to Y BA Y^-1
+    m, x, y = case
+    u, v = DCMatrix(x, np.linalg.inv(x)), DCMatrix(y, np.linalg.inv(y))
+    gauged = u @ m @ v.star()
+    want = jordan_svd(m).blocks
+    match_tol = 1e-6 * max(abs(lam) for lam, _ in want)
+    assert _same_structure(jordan_svd(gauged).blocks, want, match_tol)
+
+
+@st.composite
+def real_matrices(draw):
+    """A real matrix of size 1 to 6 and rank 1 to n whose nonzero singular
+    values lie within a factor 100 of each other: s_min^2 >= 1e-4 s_max^2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sv = 10.0 ** rng.uniform(0, 2, r)
+    return q1[:, :r] @ np.diag(sv) @ q2[:, :r].T
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(real_matrices())
+def test_pinv_of_real_embedding_is_the_complex_pinv(a):
+    # A -> [A, A^T] respects products and the star, so it carries pinv_complex
+    k, want = pinv(embed_complex(a)), pinv_complex(a)
+    scale = max_abs(want)
+    assert max_abs(k.a - want) <= DEFAULT_RECON_TOL * scale
+    assert max_abs(k.b - want.T) <= DEFAULT_RECON_TOL * scale
+
+
 class TestPairAnalysedOnce:
     """Each pair's Jordan forms and ranks are computed once: level 1 of the
     kernel ladder is one SVD each of A and B, and level 2 one singular-value
     SVD for each operand whose other operand is neither injective nor zero.
-    Every ``np.linalg.svd`` call is counted; each test starts with an empty
-    analysis memo."""
+    Every call of the one Jordan builder (``_jordan_form``), of
+    ``np.linalg.svd`` and of ``np.linalg.inv`` is counted; each Jordan basis
+    is inverted once, by the builder's residual gate.  Each test starts with
+    an empty analysis memo."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         monkeypatch.setattr(decompositions, "_last", None)
-        counts = {"jordan_decomposition": 0, "svd": 0}
-        original = complex_linalg.jordan_decomposition
+        counts = {"jordan": 0, "svd": 0, "inv": 0}
+        original = complex_linalg._jordan_form
 
         def counted(*args, **kwargs):
-            counts["jordan_decomposition"] += 1
+            counts["jordan"] += 1
             return original(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):
             if (mod_name.startswith("tessarine")
-                    and getattr(mod, "jordan_decomposition", None) is original):
-                monkeypatch.setattr(mod, "jordan_decomposition", counted)
-        svd = np.linalg.svd
+                    and getattr(mod, "_jordan_form", None) is original):
+                monkeypatch.setattr(mod, "_jordan_form", counted)
+        for name in ("svd", "inv"):
+            kernel = getattr(np.linalg, name)
 
-        def counted_svd(*args, **kwargs):
-            counts["svd"] += 1
-            return svd(*args, **kwargs)
+            def counted_kernel(*args, _name=name, _kernel=kernel, **kwargs):
+                counts[_name] += 1
+                return _kernel(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+            monkeypatch.setattr(np.linalg, name, counted_kernel)
         return counts
 
     def test_dense_trial(self, counts):
         # the verdicts come from the ladder; only BA's form is built
         record = explorer.run_trial(7, "dense", 4)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan_decomposition": 1, "svd": 2}
+        assert counts == {"jordan": 1, "svd": 2, "inv": 2}
 
     @staticmethod
     def unseen_pair(monkeypatch):
@@ -1215,60 +1312,79 @@ class TestPairAnalysedOnce:
         return m
 
     def test_pinv(self, counts, monkeypatch):
-        # 2 for level 1, 2 for level 2, 2 for the chains of BA's zero cluster
+        # 2 for level 1, 2 for level 2, 1 for BA's semisimple zero cluster;
+        # P^-1 from the builder's gate, J diagonal: X is the one inverted
         m = self.unseen_pair(monkeypatch)
-        counts.update(jordan_decomposition=0, svd=0)
+        counts.update(jordan=0, svd=0, inv=0)
         pinv(m)
-        assert counts == {"jordan_decomposition": 1, "svd": 6}
+        assert counts == {"jordan": 1, "svd": 5, "inv": 2}
 
     def test_pinv_via_diagrams(self, counts, monkeypatch):
         # Im and ker of A and B come from level 1; 2 for the direct sums
         m = self.unseen_pair(monkeypatch)
-        counts.update(jordan_decomposition=0, svd=0)
+        counts.update(jordan=0, svd=0, inv=0)
         pinv_via_diagrams(m)
-        assert counts == {"jordan_decomposition": 0, "svd": 6}
+        assert counts == {"jordan": 0, "svd": 6, "inv": 2}
 
     def test_pinv_after_pinv_exists(self, counts, monkeypatch):
-        # the ladder is the memo's; 2 for the chains of BA's zero cluster
+        # the ladder is the memo's; 1 for BA's semisimple zero cluster
         m = self.unseen_pair(monkeypatch)
         pinv_exists(m)
-        counts.update(jordan_decomposition=0, svd=0)
+        counts.update(jordan=0, svd=0, inv=0)
         pinv(m)
-        assert counts == {"jordan_decomposition": 1, "svd": 2}
+        assert counts == {"jordan": 1, "svd": 1, "inv": 2}
 
     def test_polar_after_pinv(self, counts, monkeypatch):
         # the ladder and the Jordan SVD are both the memo's
         m = self.unseen_pair(monkeypatch)
         pinv(m)
-        counts.update(jordan_decomposition=0, svd=0)
+        counts.update(jordan=0, svd=0, inv=0)
         polar(m)
-        assert counts == {"jordan_decomposition": 0, "svd": 0}
+        assert counts == {"jordan": 0, "svd": 0, "inv": 0}
+
+    def test_factor_op(self, counts, monkeypatch):
+        # both pseudoinverses, polar and its round trip: 2 Jordan forms, each
+        # basis inverted once by its gate, X once, the two direct sums once
+        m = self.unseen_pair(monkeypatch)
+        eig = np.linalg.eig
+        counts["eig"] = 0
+
+        def counted_eig(*args, **kwargs):
+            counts["eig"] += 1
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        counts.update(jordan=0, svd=0, inv=0)
+        pinv(m)
+        pinv_via_diagrams(m)
+        polar_to_jsvd(polar(m))
+        assert (counts["jordan"], counts["eig"], counts["inv"]) == (2, 2, 5)
 
     def test_scalar_pair_decomposed_once(self, counts):
         # n = 1: the rank quadruple alone decides the verdicts
         record = explorer.run_trial(7, "dense", 1)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan_decomposition": 1, "svd": 2}
+        assert counts == {"jordan": 1, "svd": 2, "inv": 2}
 
     def test_commuting_pair_decomposed_once(self, counts):
         a = crand(np.random.default_rng(8), 4)
         jsvd, report = attempt_jordan_svd(DCMatrix(a, a))
         assert report.jsvd_status is JsvdStatus.EXISTS
-        assert counts == {"jordan_decomposition": 1, "svd": 2}
+        assert counts == {"jordan": 1, "svd": 2, "inv": 2}
 
     def test_climb_skips_a_side_that_did_not_grow(self, counts):
         # ranks (1, 1, 0, 1): level 2 grows on B's side only, so the climb
         # takes one SVD there; then a full kernel and a reused level end it
         jsvd, report = attempt_jordan_svd(counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
-        assert counts == {"jordan_decomposition": 0, "svd": 5}
+        assert counts == {"jordan": 0, "svd": 5, "inv": 0}
 
     def test_word_verdict_climbs_once(self, counts):
         # levels 1 and 2 on construction, then levels 2 and 3 with vectors;
         # past them every step reuses a level or meets a full kernel
         jsvd, report = attempt_jordan_svd(word_counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
-        assert counts == {"jordan_decomposition": 0, "svd": 8}
+        assert counts == {"jordan": 0, "svd": 8, "inv": 0}
 
 
 def _as_bytes(result) -> bytes:
