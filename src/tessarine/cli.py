@@ -138,7 +138,7 @@ def _pinv(m, args) -> tuple[int, dict]:
 
 
 def _svd(m, args) -> tuple[int, dict]:
-    u, s, v = naive_dc_svd(m, args.tol, recon_tol=args.recon_tol)
+    u, s, v = naive_dc_svd(m, args.tol, **_options(args))
     return EXIT_OK, {
         "residual": (u @ s @ v.star() - m).norm_inf(),
         "U": pair_to_obj(u),

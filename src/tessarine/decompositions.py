@@ -1,10 +1,13 @@
 """Core double-complex factorizations.
 
-Implements the naive SVD of a matrix pair, the Jordan SVD through its
-constructive existence proof, the Moore-Penrose pseudoinverse by two
-independent constructions (through the Jordan SVD, and by reversing the
-image/kernel diagrams), Penrose-axiom verification, existence reports,
-and the polar decomposition with conversions in both directions.
+Implements the Jordan SVD of a matrix pair through its constructive
+existence proof, the naive SVD as its case with a diagonal J, the
+Moore-Penrose pseudoinverse by two independent constructions (through the
+Jordan SVD, and by reversing the image/kernel diagrams), Penrose-axiom
+verification, existence reports, and the polar decomposition with
+conversions in both directions.  The entry points that take a pair (the
+SVDs, the pseudoinverses, ``polar`` and the existence tests) read one
+analysis of it (``_analysis``): its ranks, and its Jordan SVD.
 
 Every factorization is re-verified by reconstruction before being
 returned; a silent wrong answer is worse than an error.
@@ -19,14 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .dcnum import DEFAULT_TOL, halfplane_sqrt, in_halfplane
+from .dcnum import DEFAULT_TOL, in_halfplane
 from .dcmatrix import DCMatrix, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
     jordan_decomposition,  # noqa: F401 - re-exported
     jordan_matrix,
-    rank,
     _block_spans,
     _canonical_order,
     _jordan_form,
@@ -49,7 +51,6 @@ from .errors import (
 from .orthonormal import _gram_drift
 
 DEFAULT_RECON_TOL = 1e-7
-DIAGONALIZABLE_RTOL = 1e-6
 
 
 class JsvdStatus(str, Enum):
@@ -356,33 +357,27 @@ def naive_dc_svd(
     m: DCMatrix,
     tol: float = DEFAULT_TOL,
     recon_tol: float = DEFAULT_RECON_TOL,
+    *,
+    cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> tuple[DCMatrix, DCMatrix, DCMatrix]:
     """Diagonal SVD analogue [A,B] = [P,P^-1] [D,D] [Q^-1,Q].
 
-    Reduces to the eigendecompositions AB = P D^2 P^-1 and
-    BA = Q D^2 Q^-1.  Construction: eigendecompose AB, take half-plane
-    roots for D, and couple Q = A^-1 P D; this needs A invertible and D
-    invertible, otherwise ``SingularComponent`` is raised.  On the
-    ``_normalized`` pair, D = 2^c D' and Q = 2^(c - ea) Q', c = (ea + eb) / 2.
+    This is the Jordan SVD whose J is diagonal: with A Q = P J and
+    B P = Q J, [A,B] = [P,P^-1] [J,J] [Q^-1,Q], so the pair's Jordan SVD
+    (built once per pair, through its unitarity and reconstruction gates)
+    is returned as (U, S, V).  A or B singular by the kernel ladder's
+    ranks raises ``SingularComponent``, A first; a Jordan block of size
+    more than 1 raises ``NotDiagonalizable``.
     """
-    n = m.n
-    a, b, ea, eb = _normalized(m)
-    if rank(a, tol) < n:
+    pa = _analysis(m, tol, cluster_gap)
+    if pa.ranks[0] < m.n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
-    lam, pvec = np.linalg.eig(a @ b)
-    sv = np.linalg.svd(pvec, compute_uv=False)
-    if _sv_rank(sv, DIAGONALIZABLE_RTOL) < n:
-        raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
-    d = np.array([halfplane_sqrt(x) for x in lam])
-    if np.min(np.abs(d)) <= np.sqrt(tol) * np.max(np.abs(d)):
+    if pa.ranks[1] < m.n:
         raise SingularComponent("diagonal factor D is singular; coupling fails")
-    q = np.linalg.solve(a, pvec * d)  # A^-1 P D
-    d = np.diag(_pow2(d, (ea + eb) // 2))
-    u = DCMatrix(pvec, np.linalg.inv(pvec))
-    s = DCMatrix(d, d)
-    v = DCMatrix(_pow2(q, (eb - ea) // 2), _pow2(np.linalg.inv(q), (ea - eb) // 2))
-    _verified_residual("naive SVD", u @ s @ v.star(), m, recon_tol)
-    return u, s, v
+    jsvd = pa.jordan_svd(recon_tol)[0]
+    if any(size > 1 for _, size in jsvd.blocks):
+        raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
+    return jsvd.u, jsvd.s, jsvd.v
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,25 @@ class TestSvdCommand:
         assert code == 0
         assert doc["S"] == pair_to_obj(DCMatrix([[1e200]], [[1e200]]))
 
+    def test_small_invertible_pair_exit_0(self, tmp_path, capsys):
+        # the kernel ladder finds diag(1, 1e-5) invertible, and so does svd
+        path = tmp_path / "small.json"
+        write_pair(path, np.diag([1, 1e-5]), np.diag([1, 1e-5]))
+        code, doc = run_cli(capsys, "svd", str(path))
+        assert code == 0
+        assert "error" not in doc and doc["residual"] <= 1e-7
+
+    def test_cluster_gap_reaches_the_construction(self, tmp_path, capsys):
+        # BA's roots 1.5e-6 apart: ambiguous at the default gap, not at 1e-9
+        path = tmp_path / "gap.json"
+        write_pair(path, np.eye(3), np.diag([1, 1 + 3e-6, 2]))
+        code, doc = run_cli(capsys, "svd", str(path))
+        assert code == 4
+        assert "ClusterAmbiguity" in doc["error"]
+        code, doc = run_cli(capsys, "svd", str(path), "--cluster-gap", "1e-9")
+        assert code == 0
+        assert doc["tolerances"]["cluster_gap"] == 1e-9 and "error" not in doc
+
     def test_invertible_factors_reverify(self, tmp_path, capsys):
         path, m = invertible_file(tmp_path, seed=2)
         code, doc = run_cli(capsys, "svd", path)

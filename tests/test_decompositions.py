@@ -122,6 +122,25 @@ class TestNaiveSvd:
         with pytest.raises(SingularComponent):
             naive_dc_svd(DCMatrix(np.diag([0.0, 1.0]), np.eye(2)))
 
+    def test_small_invertible_pair_builds(self):
+        # one zero rule: the kernel ladder finds diag(1, 1e-5) invertible, and
+        # so does the naive SVD; S comes in canonical order
+        m = DCMatrix(np.diag([1, 1e-5]), np.diag([1, 1e-5]))
+        u, s, v = naive_dc_svd(m)
+        assert s.approx_eq(DCMatrix(np.diag([1e-5, 1]), np.diag([1e-5, 1])), 1e-15)
+        assert (u @ s @ v.star() - m).norm_inf() <= DEFAULT_RECON_TOL * m.norm_inf()
+
+    def test_declared_cluster_gap(self):
+        # BA = diag(1, 1 + 3e-6, 2): its roots are 1.5e-6 apart, inside the
+        # default gap's ambiguity band, as for the Jordan SVD
+        m = DCMatrix(np.eye(3), np.diag([1, 1 + 3e-6, 2]))
+        for factor in (naive_dc_svd, jordan_svd):
+            with pytest.raises(ClusterAmbiguity):
+                factor(m)
+        u, s, v = naive_dc_svd(m, cluster_gap=1e-9)
+        assert np.allclose(np.diag(s.a), np.sqrt([1, 1 + 3e-6, 2]), rtol=1e-12)
+        assert (u @ s @ v.star() - m).norm_inf() <= DEFAULT_RECON_TOL * m.norm_inf()
+
     def test_reduction_identities(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -1106,10 +1125,13 @@ def test_power_of_two_scaling_is_exact(case):
     assert big_report == report
     if jsvd is not None:
         assert big_jsvd.blocks == tuple((lam * s, size) for lam, size in jsvd.blocks)
-    for factor in (pinv, pinv_via_diagrams):
+    # a pseudoinverse scales by 1 / s, the naive SVD's S by s
+    for factor, t in (
+        (pinv, 1 / s), (pinv_via_diagrams, 1 / s), (lambda x: naive_dc_svd(x)[1], s)
+    ):
         want, got = _outcome(factor, m), _outcome(factor, big)
         if isinstance(want, DCMatrix):
-            assert np.array_equal(got.a, want.a / s) and np.array_equal(got.b, want.b / s)
+            assert np.array_equal(got.a, want.a * t) and np.array_equal(got.b, want.b * t)
         else:
             assert got is want
 
@@ -1341,6 +1363,24 @@ class TestPairAnalysedOnce:
         counts.update(jordan=0, svd=0, inv=0)
         polar(m)
         assert counts == {"jordan": 0, "svd": 0, "inv": 0}
+
+    def test_naive_svd_after_pinv(self, counts):
+        # the naive SVD is the memo's Jordan SVD: nothing is computed again
+        m = explorer.generate_pair("invertible", 4, np.random.default_rng(3))
+        pinv(m)
+        counts.update(jordan=0, svd=0, inv=0)
+        naive_dc_svd(m)
+        assert counts == {"jordan": 0, "svd": 0, "inv": 0}
+
+    def test_naive_svd_is_the_jordan_svd(self, monkeypatch):
+        # an invertible pair with a diagonalizable BA: built afresh, the naive
+        # SVD's factors are the Jordan SVD's, bit for bit
+        m = explorer.generate_pair("invertible", 4, np.random.default_rng(4))
+        jsvd = jordan_svd(m)
+        assert all(size == 1 for _, size in jsvd.blocks)
+        monkeypatch.setattr(decompositions, "_last", None)
+        for got, want in zip(naive_dc_svd(m), (jsvd.u, jsvd.s, jsvd.v)):
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
 
     def test_factor_op(self, counts, monkeypatch):
         # both pseudoinverses, polar and its round trip: 2 Jordan forms, each
