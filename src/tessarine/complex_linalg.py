@@ -99,23 +99,25 @@ def _kernel_staircase(
     """Orthonormal bases of ker x^k for k = 1, 2, ... while it grows.
 
     ker x^k is the kernel of x projected off ker x^(k-1), so no power of
-    x is formed.  A singular value counts as zero when it is at most
-    ``zero``, at every step.  The staircase also stops once a kernel
-    reaches ``stop`` (default n) dimensions.
+    x is formed; ker x^0 is {0}, so the first step takes x itself.  A
+    singular value counts as zero when it is at most ``zero``, at every
+    step.  The staircase also stops once a kernel reaches ``stop``
+    (default n) dimensions.
     """
     n = x.shape[0]
     stop = n if stop is None else stop
-    kernel = np.zeros((n, 0), dtype=complex)
     bases: list[np.ndarray] = []
+    projected = x
     while True:
-        _, s, vh = np.linalg.svd(x - kernel @ (kernel.conj().T @ x))
+        _, s, vh = np.linalg.svd(projected)
         r = int(np.count_nonzero(s > zero))
-        if bases and n - r <= kernel.shape[1]:
+        if bases and n - r <= bases[-1].shape[1]:
             return bases
         kernel = vh[r:].conj().T
         bases.append(kernel)
         if n - r >= stop:
             return bases
+        projected = x - kernel @ (kernel.conj().T @ x)
 
 
 def _staircase_sizes(nullities: list[int]) -> list[int]:

@@ -33,6 +33,20 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _norm_inf(a: np.ndarray, b: np.ndarray) -> float:
+    """Max modulus over the entries of the components a and b; NaN if any is
+    NaN."""
+    x, y = max_abs(a), max_abs(b)
+    # the builtin max drops a NaN in its second argument
+    return y if y > x or y != y else x
+
+
+def _product(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """[A,B] * [C,D] = [AC, DB] on component pairs x = (A, B), y = (C, D):
+    the products of ``DCMatrix.__matmul__``, with no DCMatrix built."""
+    return x[0] @ y[0], y[1] @ x[1]
+
+
 @dataclass(frozen=True, eq=False)
 class DCMatrix:
     """Immutable matrix pair [A, B] over the double-complex numbers."""
@@ -86,7 +100,7 @@ class DCMatrix:
     def __matmul__(self, other: "DCMatrix") -> "DCMatrix":
         """[A,B] * [C,D] = [AC, DB]."""
         self._check_same_n(other)
-        return DCMatrix(self.a @ other.a, other.b @ self.b)
+        return DCMatrix(*_product((self.a, self.b), (other.a, other.b)))
 
     def star(self) -> "DCMatrix":
         """Conjugate transpose under the swap involution: [A,B]* = [B,A]."""
@@ -103,9 +117,7 @@ class DCMatrix:
 
     def norm_inf(self) -> float:
         """Max modulus over the entries of both components; NaN if any is NaN."""
-        x, y = max_abs(self.a), max_abs(self.b)
-        # the builtin max drops a NaN in its second argument
-        return y if y > x or y != y else x
+        return _norm_inf(self.a, self.b)
 
     def approx_eq(self, other: "DCMatrix", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm_inf() <= tol

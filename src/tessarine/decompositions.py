@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .dcnum import DEFAULT_TOL, in_halfplane
-from .dcmatrix import DCMatrix, max_abs
+from .dcmatrix import DCMatrix, _norm_inf, _product, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
@@ -110,15 +110,16 @@ class ExistenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _normalized(m: DCMatrix) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """A / 2^ea, B / 2^eb, ea and eb: each max modulus in [1, 2) (e = 0 for a
-    zero operand, e >= -1022), but eb steps toward 0 where ea + eb is odd."""
+def _normalized(m: DCMatrix) -> tuple[np.ndarray, int, int]:
+    """[A / 2^ea, B / 2^eb] as one (2, n, n) array, ea and eb: each max
+    modulus in [1, 2) (e = 0 for a zero operand, e >= -1022), but eb steps
+    toward 0 where ea + eb is odd."""
     big = max_abs(m.a), max_abs(m.b)
     if not all(map(math.isfinite, big)):
         raise NonFiniteInput("matrix pair has a non-finite entry")
     ea, eb = (max(math.frexp(x)[1] - 1, -1022) if x else 0 for x in big)
     eb -= (ea + eb) % 2 * (1 if eb > 0 else -1)
-    return m.a / 2.0**ea, m.b / 2.0**eb, ea, eb
+    return np.array((m.a / 2.0**ea, m.b / 2.0**eb)), ea, eb
 
 
 class _PairAnalysis:
@@ -131,21 +132,24 @@ class _PairAnalysis:
     ker_1^(k-1)} is the kernel of B restricted to the complement of
     ker_1^(k-1); side 1 mirrors it with A.  A singular value is zero at most
     tol * sigma1(B) on side 0 and tol * sigma1(A) on side 1, so by
-    interlacing rank AB >= rank A + rank B - n.  Level 1 is one SVD each of
-    B and A, level 2 singular values only; the levels past 2, which only
-    verdicts outside the rank condition need, come when first asked for.
-    It runs on the ``_normalized`` pair, which raises ``NonFiniteInput``.
+    interlacing rank AB >= rank A + rank B - n.  Level 1 is one stacked
+    SVD of B and A, level 2 singular values only; the levels past 2, which
+    only verdicts outside the rank condition need, come when first asked
+    for.  It runs on the ``_normalized`` pair, which raises
+    ``NonFiniteInput``; a stacked LAPACK call gives each matrix the bits of
+    its own call.
     """
 
     def __init__(
         self, m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
     ):
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
-        a, b, self.ea, self.eb = _normalized(m)
-        self.operands = b, a  # side 0's operand, then side 1's
-        self.svds = [np.linalg.svd(x) for x in self.operands]
-        self._zero = [tol * s.max(initial=0.0) for _, s, _ in self.svds]
-        self._level1 = [vh[: _sv_rank(s, tol)] for _, s, vh in self.svds]
+        self.ab, self.ea, self.eb = _normalized(m)
+        self.operands = self.ab[1], self.ab[0]  # side 0's operand, then side 1's
+        self.svds = np.linalg.svd(self.ab[::-1])  # u, s, vh of side 0, then side 1
+        s, vh = self.svds[1:]
+        self._zero = tol * s.max(axis=1, initial=0.0)
+        self._level1 = [vh[side][: _sv_rank(s[side], tol)] for side in (0, 1)]
         level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
         self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
@@ -203,10 +207,9 @@ class _PairAnalysis:
                 ranks.append(len(rows))
         return words
 
-    def image_and_kernel(self, side: int) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal bases of Im and ker of B (side 0) or A (side 1)."""
-        (u, _, vh), r = self.svds[side], len(self._level1[side])
-        return u[:, :r], vh[r:].conj().T
+    def kernel(self, side: int) -> np.ndarray:
+        """Orthonormal basis of ker B (side 0) or ker A (side 1)."""
+        return self.svds[2][side][len(self._level1[side]):].conj().T
 
     def nullities(self, side: int) -> list[int]:
         """dim ker x^k for k = 1, 2, ... while it grows, of x = AB (side 0)
@@ -261,13 +264,13 @@ def _analysis(
 # ---------------------------------------------------------------------------
 
 
-def _verified_residual(
-    what: str, approx: DCMatrix, target: DCMatrix, recon_tol: float
-) -> float:
-    """max-modulus residual of approx against target, or ``VerificationFailed``
-    unless it is at most recon_tol times the finite scale of target."""
-    residual = (approx - target).norm_inf()
-    if not residual <= recon_tol * target.norm_inf() < math.inf:
+def _verified_residual(what: str, approx, target, recon_tol: float) -> float:
+    """max-modulus residual of approx against target, both component pairs
+    (A, B), or ``VerificationFailed`` unless it is at most recon_tol times
+    the finite scale of target: ``(approx - target).norm_inf()`` of the
+    DCMatrix algebra, with no DCMatrix built."""
+    residual = _norm_inf(approx[0] - target[0], approx[1] - target[1])
+    if not residual <= recon_tol * _norm_inf(*target) < math.inf:
         raise VerificationFailed(
             f"{what} residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
         )
@@ -277,6 +280,11 @@ def _verified_residual(
 def _is_hermitian(m: DCMatrix, tol: float) -> bool:
     """Is m of the form [A, A], up to tol relative to its scale?"""
     return m.is_hermitian(tol * m.norm_inf())
+
+
+def _usv(u, s, v) -> tuple[np.ndarray, np.ndarray]:
+    """U S V* on component pairs, in ``JordanSVD.reconstruct``'s order."""
+    return _product(_product(u, s), v[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +346,20 @@ def penrose_check(
     """
     if m.n != k.n:
         raise DimensionMismatch(f"dimension mismatch: {m.n} vs {k.n}")
-    a, b, ea, eb = _normalized(m)
-    c, d = _pow2(k.a, ea), _pow2(k.b, eb)
-    ref = tol * max(map(max_abs, (a, b, c, d)))
-    ax1 = max_abs(a @ c @ a - a) <= ref and max_abs(b @ d @ b - b) <= ref
-    ax2 = max_abs(c @ a @ c - c) <= ref and max_abs(d @ b @ d - d) <= ref
-    ax3 = max_abs(b @ d - c @ a) <= ref
-    ax4 = max_abs(d @ b - a @ c) <= ref
+    return _penrose(*_normalized(m), k, tol)
+
+
+def _penrose(
+    ab: np.ndarray, ea: int, eb: int, k: DCMatrix, tol: float
+) -> tuple[bool, bool, bool, bool]:
+    """``penrose_check`` on the ``_normalized`` pair ab, with both components
+    in each product: AC, BD, CA and DB are formed once each."""
+    cd = np.array((_pow2(k.a, ea), _pow2(k.b, eb)))
+    ref = tol * max(max_abs(ab), max_abs(cd))
+    ac_bd, ca_db = ab @ cd, cd @ ab
+    ax1 = max_abs(ac_bd @ ab - ab) <= ref
+    ax2 = max_abs(ca_db @ cd - cd) <= ref
+    ax3, ax4 = (max_abs(x) <= ref for x in ac_bd[::-1] - ca_db)  # BD - CA, AC - DB
     return ax1, ax2, ax3, ax4
 
 
@@ -443,7 +458,7 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
     x = a @ p @ j_pinv
     zero = [span.start for lam, span in _block_spans(root_jf.blocks) if lam == 0]
     if zero:
-        x[:, zero] = pa.image_and_kernel(0)[1]
+        x[:, zero] = pa.kernel(0)
     try:
         y = np.linalg.inv(x)
     except np.linalg.LinAlgError:
@@ -451,15 +466,16 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
 
     blocks, j, d = _rescaled(root_jf.blocks, j, (pa.ea + pa.eb) // 2)
     dx = d + (pa.ea - pa.eb) // 2
-    u = DCMatrix(_pow2(x, dx), _pow2(y.T, -dx).T)  # Y's rows scale inversely
-    v = DCMatrix(_pow2(p, d), _pow2(p_inv.T, -d).T)
-    drift = _gram_drift(u.a, u.b)
+    u = _pow2(x, dx), _pow2(y.T, -dx).T  # Y's rows scale inversely
+    v = _pow2(p, d), _pow2(p_inv.T, -d).T
+    drift = _gram_drift(*u)
     if not drift <= recon_tol:
         raise VerificationFailed(
             f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
         )
-    s = DCMatrix(j, j)
-    residual = _verified_residual("Jordan SVD", u @ s @ v.star(), pa.m, recon_tol)
+    s, m = (j, j), pa.m
+    residual = _verified_residual("Jordan SVD", _usv(u, s, v), (m.a, m.b), recon_tol)
+    u, s, v = (DCMatrix(*f) for f in (u, s, v))
     jsvd = JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
     return jsvd, (p, j_pinv, y, x, p_inv)
 
@@ -509,21 +525,22 @@ def polar_to_jsvd(
     J into the half-plane.  Q^-1 is the inverse the Jordan builder's
     residual gate computed, so no matrix is inverted here.
     """
-    hf = pd.hermitian_factor
-    if not all(math.isfinite(f.norm_inf()) for f in (pd.unitary_factor, hf)):
+    uf, hf = pd.unitary_factor, pd.hermitian_factor
+    if not all(math.isfinite(f.norm_inf()) for f in (uf, hf)):
         raise NonFiniteInput("polar factor has a non-finite entry")
     if not _is_hermitian(hf, tol):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
     blocks, z, z_inv, e = _halfplane_normalized_factors(h, cluster_gap)
     jt = jordan_matrix(blocks)
-    s = DCMatrix(jt, jt)
-    v = DCMatrix(z, z_inv)
+    s, v = (jt, jt), (z, z_inv)
+    uf, hf = (uf.a, uf.b), (hf.a, hf.b)  # component pairs from here on
     with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
-        u = pd.unitary_factor @ DCMatrix(z * e, e.T * z_inv)  # W^-1 = E Z^-1
+        u = _product(uf, (z * e, e.T * z_inv))  # W^-1 = E Z^-1
         residual = _verified_residual(
-            "polar-to-JSVD", u @ s @ v.star(), pd.reconstruct(), recon_tol
+            "polar-to-JSVD", _usv(u, s, v), _product(uf, hf), recon_tol
         )
+    u, s, v = (DCMatrix(*f) for f in (u, s, v))
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 
 
@@ -548,10 +565,8 @@ def hermitian_jsvd(
 
 def jsvd_to_polar(jsvd: JordanSVD) -> PolarDecomposition:
     """U S V* = (U V*) (V S V*): unitary times Hermitian."""
-    return PolarDecomposition(
-        unitary_factor=jsvd.u @ jsvd.v.star(),
-        hermitian_factor=jsvd.v @ jsvd.s @ jsvd.v.star(),
-    )
+    u, s, v = ((f.a, f.b) for f in (jsvd.u, jsvd.s, jsvd.v))
+    return PolarDecomposition(DCMatrix(*_product(u, v[::-1])), DCMatrix(*_usv(v, s, v)))
 
 
 def _verified_polar(
@@ -560,7 +575,9 @@ def _verified_polar(
     """``jsvd_to_polar`` of a Jordan SVD of m, with its residual against m
     checked by the polar gate."""
     pd = jsvd_to_polar(jsvd)
-    return pd, _verified_residual("polar", pd.reconstruct(), m, recon_tol)
+    uf, hf = pd.unitary_factor, pd.hermitian_factor
+    uh = _product((uf.a, uf.b), (hf.a, hf.b))
+    return pd, _verified_residual("polar", uh, (m.a, m.b), recon_tol)
 
 
 def polar(
@@ -602,7 +619,7 @@ def pinv(
         )
     p, j_pinv, y, x, p_inv = pa.jordan_svd(recon_tol)[1]
     k = DCMatrix(_pow2(p @ j_pinv @ y, -pa.ea), _pow2(x @ (j_pinv @ p_inv), -pa.eb))
-    axioms = penrose_check(m, k, recon_tol)
+    axioms = _penrose(pa.ab, pa.ea, pa.eb, k, recon_tol)
     if not all(axioms):
         raise VerificationFailed(f"axioms {list(axioms)}")
     return k
@@ -616,35 +633,29 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
     inverts B restricted to Im(A) and kills ker(A).  Requires the
     existence conditions Im(AB) = Im(A), Im(BA) = Im(B) and
     rank(A) = rank(B); fails with ``NoPseudoinverse`` otherwise.
+
+    Both components are built together: one stacked SVD checks the two
+    direct sums [A Im(B), ker(B)] and [B Im(A), ker(A)], and one stacked
+    inversion maps each to [its image, 0].
     """
     pa = _analysis(m, tol)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"existence conditions fail: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    im_b, ker_b = pa.image_and_kernel(0)
-    im_a, ker_a = pa.image_and_kernel(1)
-    b, a = pa.operands  # normalized: an image meets the unit kernel at one scale
-    c = _reverse_diagram(a, im_b, ker_b, tol=tol, name="Im(A) + ker(B)")
-    d = _reverse_diagram(b, im_a, ker_a, tol=tol, name="Im(B) + ker(A)")
+    (u, _, vh), n, r = pa.svds, m.n, pa.ranks[0]
+    images = u[:, :, :r]  # Im(B), Im(A): level 1's bases, side 0 first
+    kernels = vh[:, r:].conj().transpose(0, 2, 1)  # ker(B), ker(A)
+    # normalized: an image meets the unit kernel at one scale
+    sums = np.concatenate((pa.ab @ images, kernels), axis=2)
+    names = "Im(A) + ker(B)", "Im(B) + ker(A)"
+    for sv, name in zip(np.linalg.svd(sums, compute_uv=False), names):
+        if _sv_rank(sv, tol) < n:
+            raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
+    targets = np.concatenate((images, np.zeros((2, n, n - r), dtype=complex)), axis=2)
+    c, d = targets @ np.linalg.inv(sums)
     return DCMatrix(_pow2(c, -pa.ea), _pow2(d, -pa.eb))
 
-
-def _reverse_diagram(
-    a: np.ndarray,
-    source_image: np.ndarray,
-    kernel: np.ndarray,
-    tol: float,
-    name: str,
-) -> np.ndarray:
-    """Build the inverse map x with x (a @ source) = source and x kernel = 0."""
-    n = a.shape[0]
-    stack = np.hstack([a @ source_image, kernel])
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if _sv_rank(sv, tol) < n:
-        raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
-    target = np.hstack([source_image, np.zeros((n, kernel.shape[1]), dtype=complex)])
-    return target @ np.linalg.inv(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -1288,12 +1288,12 @@ def test_pinv_of_real_embedding_is_the_complex_pinv(a):
 
 class TestPairAnalysedOnce:
     """Each pair's Jordan forms and ranks are computed once: level 1 of the
-    kernel ladder is one SVD each of A and B, and level 2 one singular-value
-    SVD for each operand whose other operand is neither injective nor zero.
-    Every call of the one Jordan builder (``_jordan_form``), of
-    ``np.linalg.svd`` and of ``np.linalg.inv`` is counted; each Jordan basis
-    is inverted once, by the builder's residual gate.  Each test starts with
-    an empty analysis memo."""
+    kernel ladder is one stacked SVD of A and B, and level 2 one
+    singular-value SVD for each operand whose other operand is neither
+    injective nor zero.  Every call of the one Jordan builder
+    (``_jordan_form``), of ``np.linalg.svd`` and of ``np.linalg.inv`` is
+    counted, a stacked call once; each Jordan basis is inverted once, by the
+    builder's residual gate.  Each test starts with an empty analysis memo."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1323,7 +1323,7 @@ class TestPairAnalysedOnce:
         # the verdicts come from the ladder; only BA's form is built
         record = explorer.run_trial(7, "dense", 4)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan": 1, "svd": 2, "inv": 2}
+        assert counts == {"jordan": 1, "svd": 1, "inv": 2}
 
     @staticmethod
     def unseen_pair(monkeypatch):
@@ -1334,19 +1334,20 @@ class TestPairAnalysedOnce:
         return m
 
     def test_pinv(self, counts, monkeypatch):
-        # 2 for level 1, 2 for level 2, 1 for BA's semisimple zero cluster;
+        # 1 for level 1, 2 for level 2, 1 for BA's semisimple zero cluster;
         # P^-1 from the builder's gate, J diagonal: X is the one inverted
         m = self.unseen_pair(monkeypatch)
         counts.update(jordan=0, svd=0, inv=0)
         pinv(m)
-        assert counts == {"jordan": 1, "svd": 5, "inv": 2}
+        assert counts == {"jordan": 1, "svd": 4, "inv": 2}
 
     def test_pinv_via_diagrams(self, counts, monkeypatch):
-        # Im and ker of A and B come from level 1; 2 for the direct sums
+        # Im and ker of A and B come from level 1; both direct sums are
+        # checked by one stacked SVD and inverted by one stacked inv
         m = self.unseen_pair(monkeypatch)
         counts.update(jordan=0, svd=0, inv=0)
         pinv_via_diagrams(m)
-        assert counts == {"jordan": 0, "svd": 6, "inv": 2}
+        assert counts == {"jordan": 0, "svd": 4, "inv": 1}
 
     def test_pinv_after_pinv_exists(self, counts, monkeypatch):
         # the ladder is the memo's; 1 for BA's semisimple zero cluster
@@ -1384,7 +1385,7 @@ class TestPairAnalysedOnce:
 
     def test_factor_op(self, counts, monkeypatch):
         # both pseudoinverses, polar and its round trip: 2 Jordan forms, each
-        # basis inverted once by its gate, X once, the two direct sums once
+        # basis inverted once by its gate, X once, the two direct sums together
         m = self.unseen_pair(monkeypatch)
         eig = np.linalg.eig
         counts["eig"] = 0
@@ -1398,33 +1399,113 @@ class TestPairAnalysedOnce:
         pinv(m)
         pinv_via_diagrams(m)
         polar_to_jsvd(polar(m))
-        assert (counts["jordan"], counts["eig"], counts["inv"]) == (2, 2, 5)
+        assert (counts["jordan"], counts["eig"], counts["inv"]) == (2, 2, 4)
 
     def test_scalar_pair_decomposed_once(self, counts):
         # n = 1: the rank quadruple alone decides the verdicts
         record = explorer.run_trial(7, "dense", 1)
         assert record.jsvd_status == "exists"
-        assert counts == {"jordan": 1, "svd": 2, "inv": 2}
+        assert counts == {"jordan": 1, "svd": 1, "inv": 2}
 
     def test_commuting_pair_decomposed_once(self, counts):
         a = crand(np.random.default_rng(8), 4)
         jsvd, report = attempt_jordan_svd(DCMatrix(a, a))
         assert report.jsvd_status is JsvdStatus.EXISTS
-        assert counts == {"jordan": 1, "svd": 2, "inv": 2}
+        assert counts == {"jordan": 1, "svd": 1, "inv": 2}
 
     def test_climb_skips_a_side_that_did_not_grow(self, counts):
         # ranks (1, 1, 0, 1): level 2 grows on B's side only, so the climb
         # takes one SVD there; then a full kernel and a reused level end it
         jsvd, report = attempt_jordan_svd(counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
-        assert counts == {"jordan": 0, "svd": 5, "inv": 0}
+        assert counts == {"jordan": 0, "svd": 4, "inv": 0}
 
     def test_word_verdict_climbs_once(self, counts):
         # levels 1 and 2 on construction, then levels 2 and 3 with vectors;
         # past them every step reuses a level or meets a full kernel
         jsvd, report = attempt_jordan_svd(word_counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
-        assert counts == {"jordan": 0, "svd": 8, "inv": 0}
+        assert counts == {"jordan": 0, "svd": 7, "inv": 0}
+
+
+def _same(x: DCMatrix, y: DCMatrix) -> bool:
+    return np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+
+
+def _twelve_product_penrose(m, k, tol):
+    """``penrose_check`` as one product per matrix of each axiom: 12 in all."""
+    ab, ea, eb = decompositions._normalized(m)
+    (a, b), c, d = ab, complex_linalg._pow2(k.a, ea), complex_linalg._pow2(k.b, eb)
+    ref = tol * max(map(max_abs, (a, b, c, d)))
+    ax1 = max_abs(a @ c @ a - a) <= ref and max_abs(b @ d @ b - b) <= ref
+    ax2 = max_abs(c @ a @ c - c) <= ref and max_abs(d @ b @ d - d) <= ref
+    ax3 = max_abs(b @ d - c @ a) <= ref
+    ax4 = max_abs(d @ b - a @ c) <= ref
+    return ax1, ax2, ax3, ax4
+
+
+class TestGatesOnComponents:
+    """The factor path takes both components in one numpy call where they are
+    stacked, and forms each gate's products on component arrays in the
+    DCMatrix algebra's order: every value is the algebra's, bit for bit."""
+
+    @pytest.fixture(params=range(1, 17))
+    def m(self, request):
+        return rank_condition_pair(request.param, np.random.default_rng(request.param))
+
+    def test_stacked_level_one(self, m):
+        pa = _PairAnalysis(m, DEFAULT_TOL)
+        for side, operand in enumerate(pa.operands):
+            for got, want in zip(pa.svds, np.linalg.svd(operand)):
+                assert np.array_equal(got[side], want)
+
+    def test_jordan_svd_residual(self, m):
+        jsvd = jordan_svd(m)
+        assert jsvd.residual == (jsvd.u @ jsvd.s @ jsvd.v.star() - m).norm_inf()
+
+    def test_polar_factors_and_residual(self, m):
+        jsvd = jordan_svd(m)
+        pd, residual = decompositions._verified_polar(jsvd, m, DEFAULT_RECON_TOL)
+        assert _same(pd.unitary_factor, jsvd.u @ jsvd.v.star())
+        assert _same(pd.hermitian_factor, jsvd.v @ jsvd.s @ jsvd.v.star())
+        assert residual == (pd.reconstruct() - m).norm_inf()
+
+    def test_round_trip_residual(self, m):
+        pd = polar(m)
+        rt = polar_to_jsvd(pd)
+        assert rt.residual == (rt.reconstruct() - pd.reconstruct()).norm_inf()
+
+    def test_penrose_check_is_the_twelve_product_formula(self, m):
+        k = pinv(m)
+        near = k + DCMatrix(1e-9 * np.ones((m.n, m.n)), np.zeros((m.n, m.n)))
+        far = DCMatrix(1e150 * m.a, 1e-150 * m.b)
+        cases = (m, k), (m, pinv_via_diagrams(m)), (m, near), (far, pinv(far))
+        for pair, inverse in cases:
+            for tol in (1e-16, 1e-13, 1e-10, 1e-7):
+                want = _twelve_product_penrose(pair, inverse, tol)
+                assert penrose_check(pair, inverse, tol) == want
+
+    @pytest.mark.parametrize(
+        "e, want", [([[0, 0], [1, 0]], (True, True, False, True)),
+                    ([[0, 1], [0, 0]], (True, True, True, False))])
+    def test_axioms_three_and_four_apart(self, e, want):
+        # k = [A + E, A] for m = [A, A]: E A != 0 = A E breaks axiom 3 only,
+        # and the transposed E axiom 4 only
+        a = np.diag([1.0, 0.0])
+        m, k = DCMatrix(a, a), DCMatrix(a + np.array(e), a)
+        assert penrose_check(m, k) == _twelve_product_penrose(m, k, 1e-8) == want
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_in_either_component_fails(self, m, side):
+        target = m.a, m.b
+        approx = [m.a.copy(), m.b.copy()]
+        approx[side][0, 0] = np.nan
+        with pytest.raises(VerificationFailed, match="residual nan"):
+            decompositions._verified_residual("test", approx, target, DEFAULT_RECON_TOL)
+        k = pinv(m)
+        parts = [k.a.copy(), k.b.copy()]
+        parts[side][0, 0] = np.nan
+        assert penrose_check(m, DCMatrix(*parts)) == (False,) * 4
 
 
 def _as_bytes(result) -> bytes:
