@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dcmatrix import DCMatrix
-from .complex_linalg import DEFAULT_CLUSTER_GAP, jordan_matrix, _same_structure
+from .complex_linalg import DEFAULT_CLUSTER_GAP, jordan_matrix, rank, _same_structure
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
     JsvdStatus,
@@ -28,8 +28,9 @@ from .decompositions import (
     jsvd_to_polar,
     pinv_exists,
     polar_to_jsvd,
+    rank_quadruple,
+    _analysis,
     _attempt_jordan_svd,
-    _PairAnalysis,
 )
 from .errors import BadProfile
 
@@ -53,7 +54,12 @@ class TrialRecord:
     error: str | None = None  # kept in the record format; always None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` of the record, without its deep copy: the
+        fields in order, the block list and its inner lists copied."""
+        blocks = self.j_blocks
+        if blocks is not None:
+            blocks = [list(b) for b in blocks]
+        return {**vars(self), "j_blocks": blocks}
 
 
 @dataclass
@@ -98,7 +104,9 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
     dense            both components dense Gaussian;
     ranks            components rank-deficient via factor products, with
                      ranks drawn independently (probes all rank cells);
-    invertible       dense, redrawn until both components have full rank;
+    invertible       dense, redrawn until both components have full rank
+                     by the library's rank rule (``rank_quadruple``), so
+                     the accepted draw's analysis is in the memo;
     jordan           AB gets a prescribed random Jordan structure through
                      an invertible coupling B = A^-1 (P J P^-1);
     counterexample   embeds the diag(0,1) / nilpotent-shift structure
@@ -114,12 +122,9 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
         return DCMatrix(_rank_factored(rng, n, ra), _rank_factored(rng, n, rb))
     if profile == "invertible":
         while True:
-            a, b = _random_complex(rng, n, n), _random_complex(rng, n, n)
-            if (
-                np.linalg.matrix_rank(a) == n
-                and np.linalg.matrix_rank(b) == n
-            ):
-                return DCMatrix(a, b)
+            m = DCMatrix(_random_complex(rng, n, n), _random_complex(rng, n, n))
+            if rank_quadruple(m)[:2] == (n, n):
+                return m
     if profile == "jordan":
         sizes = []
         total = 0
@@ -135,7 +140,7 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
         target = p @ jordan_matrix(blocks) @ np.linalg.inv(p)
         while True:
             a = _random_complex(rng, n, n)
-            if np.linalg.matrix_rank(a) == n:
+            if rank(a) == n:
                 break
         return DCMatrix(a, np.linalg.solve(a, target))
     if profile == "counterexample":
@@ -180,8 +185,21 @@ def run_trial(
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> TrialRecord:
     """Run one reproducible trial: generate, test similarity, try the JSVD."""
-    rng = np.random.default_rng(seed)
-    pa = _PairAnalysis(generate_pair(profile, n, rng), tol, cluster_gap)
+    return _run_trial(np.random.default_rng(seed), seed, profile, n, tol, cluster_gap)
+
+
+def _run_trial(
+    rng: np.random.Generator,
+    seed: int,
+    profile: str,
+    n: int,
+    tol: float,
+    cluster_gap: float,
+) -> TrialRecord:
+    """``run_trial`` on ``rng``, a generator in the state
+    ``default_rng(seed)`` starts in.  The pair is read through the memo:
+    an ``invertible`` draw was analysed by its redraw test."""
+    pa = _analysis(generate_pair(profile, n, rng), tol, cluster_gap)
     sim = pa.ab_similar_ba()
     jsvd, report = _attempt_jordan_svd(pa)
     status = report.jsvd_status
@@ -241,10 +259,15 @@ def conjecture_scan(
     for t in range(trials):
         profile = profiles[t % len(profiles)]
         seed_t = trial_seed(seed, t)
-        n = int(np.random.default_rng(seed_t).integers(1, n_max + 1))
+        # one generator per trial: n is its first draw, then it is put back
+        # in its initial state, the one run_trial(seed_t, ...) starts from
+        rng = np.random.default_rng(seed_t)
+        start = rng.bit_generator.state
+        n = int(rng.integers(1, n_max + 1))
+        rng.bit_generator.state = start
         if profile == "counterexample":
             n = max(n, 2)
-        rec = run_trial(seed_t, profile, n, tol, cluster_gap)
+        rec = _run_trial(rng, seed_t, profile, n, tol, cluster_gap)
         records.append(rec)
         if sink is not None:
             sink(rec)

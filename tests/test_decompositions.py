@@ -1325,6 +1325,22 @@ class TestPairAnalysedOnce:
         assert record.jsvd_status == "exists"
         assert counts == {"jordan": 1, "svd": 1, "inv": 2}
 
+    def test_invertible_trial(self, counts, monkeypatch):
+        # the redraw test's rank quadruple is the trial's analysis: the
+        # counts of a dense trial, and numpy's own rank is never taken
+        ranked = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted_rank(*args, **kwargs):
+            ranked.append(args)
+            return matrix_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+        record = explorer.run_trial(7, "invertible", 4)
+        assert record.jsvd_status == "exists"
+        assert counts == {"jordan": 1, "svd": 1, "inv": 2}
+        assert ranked == []
+
     @staticmethod
     def unseen_pair(monkeypatch):
         """A rank-condition pair the memo has not seen: drawing it analyses

@@ -1,13 +1,20 @@
 """Randomized scans of the existence conjecture and J uniqueness."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tessarine import decompositions, explorer
 from tessarine.dcmatrix import DCMatrix
 from tessarine.complex_linalg import jordan_matrix
-from tessarine.decompositions import JsvdStatus, jsvd_necessary, pinv_exists
+from tessarine.decompositions import (
+    JsvdStatus,
+    jsvd_necessary,
+    pinv_exists,
+    rank_quadruple,
+)
 from tessarine.errors import BadProfile
 from tessarine.explorer import (
     MAX_N,
@@ -79,6 +86,60 @@ class TestRunTrial:
         a = run_trial(seed, "dense", 4)
         b = run_trial(seed, "dense", 4)
         assert a == b
+
+    def test_as_dict_is_the_dataclass_dict(self):
+        # the hand-built dict has asdict's keys, order and values, and its
+        # block list shares no list with the record
+        for profile in PROFILES:
+            rec = run_trial(trial_seed(8, 1), profile, 3)
+            d = rec.as_dict()
+            assert json.dumps(d) == json.dumps(dataclasses.asdict(rec))
+            if rec.j_blocks is not None:
+                d["j_blocks"][0][2] = -1
+                d["j_blocks"].append(None)
+                assert rec.j_blocks == run_trial(trial_seed(8, 1), profile, 3).j_blocks
+
+    def test_scan_records_replay(self):
+        # a scan draws n and the pair from one generator; each record is
+        # what run_trial replays from its seed, profile and n
+        records, _ = conjecture_scan(150, PROFILES, n_max=6, seed=31)
+        assert {r.construction_profile for r in records} == set(PROFILES)
+        for r in records:
+            assert r.as_dict() == run_trial(r.seed, r.construction_profile, r.n).as_dict()
+
+    def test_invertible_redraw(self, monkeypatch):
+        # a first draw whose A has rank 1 is redrawn; the second draw is the
+        # trial's pair, and the analysis its redraw test made is the trial's
+        original = explorer._random_complex
+        draws = []
+
+        def drawn(rng, rows, cols):
+            x = original(rng, rows, cols)
+            if not draws:
+                x = np.outer(x[:, 0], x[0])
+            draws.append(x)
+            return x
+
+        analysed = []
+
+        class Counted(decompositions._PairAnalysis):
+            def __init__(self, m, *args):
+                analysed.append(m)
+                super().__init__(m, *args)
+
+        monkeypatch.setattr(explorer, "_random_complex", drawn)
+        monkeypatch.setattr(decompositions, "_PairAnalysis", Counted)
+        monkeypatch.setattr(decompositions, "_last", None)
+        rec = run_trial(5, "invertible", 4)
+        assert len(draws) == 4 and len(analysed) == 2
+        first, second = analysed
+        assert np.array_equal(first.a, draws[0]) and np.array_equal(first.b, draws[1])
+        assert np.array_equal(second.a, draws[2]) and np.array_equal(second.b, draws[3])
+        assert decompositions._last[1].m is second
+        assert rank_quadruple(second) == (4, 4, 4, 4)
+        assert len(analysed) == 2
+        assert rec.jsvd_status == "exists" and rec.similar_ab_ba
+        assert rank_quadruple(first)[:2] == (1, 4)
 
     def test_nilpotent_hermitian_cell_consistent(self):
         # [J, J] has a Jordan SVD and AB = BA = 0; the cell must be consistent
