@@ -446,27 +446,17 @@ def _root_chain_basis(lam: complex, mu: complex, size: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def sqrt_jordan_factors(
-    a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP
-) -> tuple[np.ndarray, JordanForm]:
-    """Half-plane primary square root along with its own Jordan form.
-
-    The input's zero Jordan blocks are its n - ``rank(a)`` blocks of least
-    modulus, the rank's zero rule deciding which eigenvalues are zero; each
-    must be a 1x1 block, otherwise ``NilpotentBlock`` is raised.  The
-    root's Jordan form is constructed structurally from the input's, so
-    only one eigenvalue clustering is ever performed, and the root is read
-    off that form: the residual gate checks the form itself.
-    """
-    a = _as_square(a)
-    return _sqrt_jordan(a, cluster_gap, rank(a))[:2]
-
-
 def _sqrt_jordan(
     a: np.ndarray, cluster_gap: float, rank_a: int
 ) -> tuple[np.ndarray, JordanForm, np.ndarray]:
-    """``sqrt_jordan_factors`` of an a of rank ``rank_a``, with the inverse
-    of the root's Jordan basis as a third value.
+    """Half-plane primary square root of an a of rank ``rank_a``, its own
+    Jordan form, and the inverse of that form's basis.
+
+    a's zero Jordan blocks are its n - ``rank_a`` blocks of least modulus;
+    each must be a 1x1 block, otherwise ``NilpotentBlock`` is raised.  The
+    root's Jordan form is constructed structurally from a's, so only one
+    eigenvalue clustering is ever performed, and the root is read off that
+    form: the residual gate checks the form itself.
 
     The root's basis is a's basis P times T, block-diagonal with each
     chain block's small chain basis and ones elsewhere, so its inverse is
@@ -517,9 +507,10 @@ def _sqrt_jordan(
 
 
 def sqrt_via_jordan(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> np.ndarray:
-    """Primary half-plane square root of a matrix via its Jordan form."""
-    root, _ = sqrt_jordan_factors(a, cluster_gap=cluster_gap)
-    return root
+    """Primary half-plane square root of a matrix via its Jordan form; the
+    rank's zero rule decides which eigenvalues are zero."""
+    a = _as_square(a)
+    return _sqrt_jordan(a, cluster_gap, rank(a))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,22 @@ def _verified_residual(what: str, approx, target, recon_tol: float) -> float:
     return residual
 
 
+def _accepted(what: str, u, j, v, blocks, target, recon_tol: float) -> JordanSVD:
+    """The Jordan SVD U [J, J] V* of target, all component pairs, once U is
+    unitary (|Y X - I| <= recon_tol for U = [X, Y]) and the reconstruction
+    passes ``_verified_residual``, both on the factors returned; else
+    ``VerificationFailed``, the unitarity check first."""
+    drift = _gram_drift(*u)
+    if not drift <= recon_tol:
+        raise VerificationFailed(
+            f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
+        )
+    s = j, j
+    residual = _verified_residual(what, _usv(u, s, v), target, recon_tol)
+    u, s, v = (DCMatrix(*f) for f in (u, s, v))
+    return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
+
+
 def _is_hermitian(m: DCMatrix, tol: float) -> bool:
     """Is m of the form [A, A], up to tol relative to its scale?"""
     return m.is_hermitian(tol * m.norm_inf())
@@ -432,7 +448,8 @@ def jordan_svd(
     form P J P^-1; set V = [P, P^-1] and S = [J, J]; build U = [X, X^-1]
     with X = A P J+ at the nonzero blocks of J and a basis of ker B at
     its 1x1 zero blocks; check that U is unitary (|Y X - I| <= recon_tol
-    for U = [X, Y]) and verify m = U S V*, both on the factors returned.
+    for U = [X, Y]) and verify m = U S V*, both on the factors returned,
+    by the gate ``polar_to_jsvd`` shares.
     The construction draws no random numbers: ``rng`` is accepted for
     compatibility and ignored.
     """
@@ -468,15 +485,7 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
     dx = d + (pa.ea - pa.eb) // 2
     u = _pow2(x, dx), _pow2(y.T, -dx).T  # Y's rows scale inversely
     v = _pow2(p, d), _pow2(p_inv.T, -d).T
-    drift = _gram_drift(*u)
-    if not drift <= recon_tol:
-        raise VerificationFailed(
-            f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
-        )
-    s, m = (j, j), pa.m
-    residual = _verified_residual("Jordan SVD", _usv(u, s, v), (m.a, m.b), recon_tol)
-    u, s, v = (DCMatrix(*f) for f in (u, s, v))
-    jsvd = JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
+    jsvd = _accepted("Jordan SVD", u, j, v, blocks, (pa.m.a, pa.m.b), recon_tol)
     return jsvd, (p, j_pinv, y, x, p_inv)
 
 
@@ -523,7 +532,9 @@ def polar_to_jsvd(
     Jordan-decomposes the Hermitian factor [H,H] as Q J Q^-1, giving
     m = (U [Q,Q^-1]) [J,J] [Q,Q^-1]*, then normalizes the eigenvalues of
     J into the half-plane.  Q^-1 is the inverse the Jordan builder's
-    residual gate computed, so no matrix is inverted here.
+    residual gate computed, so no matrix is inverted here.  The result
+    passes ``jordan_svd``'s gates: a U that is not unitary, however well it
+    reconstructs, raises ``VerificationFailed``.
     """
     uf, hf = pd.unitary_factor, pd.hermitian_factor
     if not all(math.isfinite(f.norm_inf()) for f in (uf, hf)):
@@ -532,16 +543,11 @@ def polar_to_jsvd(
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
     blocks, z, z_inv, e = _halfplane_normalized_factors(h, cluster_gap)
-    jt = jordan_matrix(blocks)
-    s, v = (jt, jt), (z, z_inv)
     uf, hf = (uf.a, uf.b), (hf.a, hf.b)  # component pairs from here on
     with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
         u = _product(uf, (z * e, e.T * z_inv))  # W^-1 = E Z^-1
-        residual = _verified_residual(
-            "polar-to-JSVD", _usv(u, s, v), _product(uf, hf), recon_tol
-        )
-    u, s, v = (DCMatrix(*f) for f in (u, s, v))
-    return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
+        target, jt = _product(uf, hf), jordan_matrix(blocks)
+        return _accepted("polar-to-JSVD", u, jt, (z, z_inv), blocks, target, recon_tol)
 
 
 def hermitian_jsvd(
@@ -557,7 +563,7 @@ def hermitian_jsvd(
     This route does not need the pseudoinverse rank condition, so it
     certifies existence for Hermitian matrices (for example nilpotent
     [J, J]) that have no pseudoinverse.  Any other m raises
-    ``PreconditionFailed``.
+    ``PreconditionFailed``; a U that is not unitary, ``VerificationFailed``.
     """
     pd = PolarDecomposition(DCMatrix.identity(m.n), m)
     return polar_to_jsvd(pd, tol, recon_tol=recon_tol, cluster_gap=cluster_gap)

@@ -681,6 +681,16 @@ class TestPolarToJsvd:
         with pytest.raises(PreconditionFailed):
             polar_to_jsvd(pd)
 
+    def test_refuses_a_non_unitary_factor(self):
+        # [G, G] with G real Gaussian is not unitary, and U [J, J] V* still
+        # reconstructs [G H, G H]: only the unitarity gate refuses it
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((3, 3))
+        h = rng.standard_normal(3)
+        pd = PolarDecomposition(DCMatrix(g, g), DCMatrix(np.outer(h, h), np.outer(h, h)))
+        with pytest.raises(VerificationFailed, match="U is not unitary"):
+            polar_to_jsvd(pd)
+
 
 class TestHermitianRoute:
     def test_matches_direct_jordan_structure(self):
@@ -887,6 +897,15 @@ class TestOverflowingJordanChains:
         assert jsvd is None
         assert report.jsvd_status is JsvdStatus.UNKNOWN
         assert report.reason.startswith("VerificationFailed: ")
+        # the Hermitian route: A = J_2(0) + J_1(1) needs a Jordan basis
+        # that spans the scale, and the rank route's gate refuses its U
+        a = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=float)
+        assert attempt_jordan_svd(DCMatrix(a, a))[1].jsvd_status is JsvdStatus.EXISTS
+        for scale in (1e150, 1e-150, 2.0**1000, 2.0**-1000):
+            jsvd, report = attempt_jordan_svd(DCMatrix(scale * a, scale * a))
+            assert jsvd is None
+            assert report.jsvd_status is JsvdStatus.UNKNOWN
+            assert report.reason.startswith("VerificationFailed: U is not unitary")
 
     def test_four_long_chain(self):
         # once refused; now the form of a / 2^e, max modulus in [1, 2),
@@ -956,17 +975,29 @@ class TestUnitarityGate:
         "scale", [1e-20, 1e-16, 1e-12, 1.0, 1e12, 1e16, 1e20]
     )
     def test_every_returned_u_is_unitary(self, scale):
-        jsvd, report = attempt_jordan_svd(
-            DCMatrix(np.eye(4), scale * two_block_matrix())
-        )
+        m = DCMatrix(np.eye(4), scale * two_block_matrix())
+        jsvd, report = attempt_jordan_svd(m)
         if scale in (1e-12, 1.0, 1e12):
             assert report.jsvd_status is JsvdStatus.EXISTS
         if report.jsvd_status is JsvdStatus.EXISTS:
             eye = np.eye(4)
             assert max_abs(jsvd.u.b @ jsvd.u.a - eye) <= 1e-7
             assert max_abs(jsvd.u.a @ jsvd.u.b - eye) <= 1e-7
+            # the polar round trip passes the same gate: at 1e-16 its U,
+            # (U V*) [Z, Z^-1] E, drifts to 3.6e-7 and is refused
+            try:
+                round_trip = polar_to_jsvd(polar(m))
+            except VerificationFailed as ex:
+                assert str(ex).startswith("U is not unitary")
+            else:
+                assert _gram_drift(round_trip.u.a, round_trip.u.b) <= 1e-7
         else:
             assert report.reason.startswith("VerificationFailed: U is not unitary")
+        # the Hermitian route, [J_2(0), J_2(0)]
+        j = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+        jsvd, report = attempt_jordan_svd(DCMatrix(j, j))
+        assert report.jsvd_status is JsvdStatus.EXISTS
+        assert _gram_drift(jsvd.u.a, jsvd.u.b) <= 1e-7
 
     def test_near_double_eigenvalue_stays_in_the_hierarchy(self):
         # all of U = [X, X^-1] is checked at recon_tol by the one gate:
