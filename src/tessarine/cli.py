@@ -82,16 +82,8 @@ def _tolerances(args) -> dict:
     }
 
 
-def _options(args) -> dict:
-    """Keyword arguments that every pair command passes to the library."""
-    return {
-        "recon_tol": args.recon_tol,
-        "cluster_gap": args.cluster_gap,
-    }
-
-
 def _check(m, args) -> tuple[int, dict]:
-    _, report = attempt_jordan_svd(m, args.tol, **_options(args))
+    _, report = attempt_jordan_svd(m, **_tolerances(args))
     return EXIT_OK, report.as_dict()
 
 
@@ -103,7 +95,7 @@ def _refusal(report) -> tuple[int, dict]:
 
 
 def _jsvd(m, args) -> tuple[int, dict]:
-    jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
+    jsvd, report = attempt_jordan_svd(m, **_tolerances(args))
     if jsvd is None:
         return _refusal(report)
     return EXIT_OK, {
@@ -117,7 +109,7 @@ def _jsvd(m, args) -> tuple[int, dict]:
 
 
 def _polar(m, args) -> tuple[int, dict]:
-    jsvd, report = attempt_jordan_svd(m, args.tol, **_options(args))
+    jsvd, report = attempt_jordan_svd(m, **_tolerances(args))
     if jsvd is None:
         return _refusal(report)
     pd, residual = _verified_polar(jsvd, m, args.recon_tol)
@@ -129,7 +121,7 @@ def _polar(m, args) -> tuple[int, dict]:
 
 
 def _pinv(m, args) -> tuple[int, dict]:
-    k = pinv(m, args.tol, **_options(args))
+    k = pinv(m, **_tolerances(args))
     return EXIT_OK, {
         "penrose_axioms": list(penrose_check(m, k, args.recon_tol)),
         "residual": (m @ k @ m - m).norm_inf(),
@@ -138,7 +130,7 @@ def _pinv(m, args) -> tuple[int, dict]:
 
 
 def _svd(m, args) -> tuple[int, dict]:
-    u, s, v = naive_dc_svd(m, args.tol, **_options(args))
+    u, s, v = naive_dc_svd(m, **_tolerances(args))
     return EXIT_OK, {
         "residual": (u @ s @ v.star() - m).norm_inf(),
         "U": pair_to_obj(u),

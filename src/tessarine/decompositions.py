@@ -153,11 +153,11 @@ class _PairAnalysis:
         level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
         self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
-        self._jsvds: dict = {}  # recon_tol -> _jordan_svd's result or its refusal
+        self._jsvds: dict = {}  # recon_tol -> the verified JordanSVD or its refusal
 
-    def jordan_svd(self, recon_tol: float) -> tuple[JordanSVD, tuple]:
-        """``_jordan_svd`` of this pair, built once per recon_tol: a refusal
-        is remembered too and raised again with its type and message."""
+    def jordan_svd(self, recon_tol: float) -> JordanSVD:
+        """The verified ``JordanSVD`` of this pair, built once per recon_tol: a
+        refusal is remembered too and raised again with its type and message."""
         if recon_tol not in self._jsvds:
             try:
                 self._jsvds[recon_tol] = _jordan_svd(self, recon_tol)
@@ -165,7 +165,7 @@ class _PairAnalysis:
                 self._jsvds[recon_tol] = type(ex), ex.args
                 raise
         found = self._jsvds[recon_tol]
-        if not isinstance(found[0], JordanSVD):
+        if not isinstance(found, JordanSVD):
             error, args = found
             raise error(*args)
         return found
@@ -405,7 +405,7 @@ def naive_dc_svd(
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
     if pa.ranks[1] < m.n:
         raise SingularComponent("diagonal factor D is singular; coupling fails")
-    jsvd = pa.jordan_svd(recon_tol)[0]
+    jsvd = pa.jordan_svd(recon_tol)
     if any(size > 1 for _, size in jsvd.blocks):
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
     return jsvd.u, jsvd.s, jsvd.v
@@ -458,13 +458,13 @@ def jordan_svd(
         raise PreconditionFailed(
             f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    return pa.jordan_svd(recon_tol)[0]
+    return pa.jordan_svd(recon_tol)
 
 
-def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
+def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
     """``jordan_svd`` of a pair meeting the rank condition, built on the
-    ``_normalized`` pair, whose (P, J+, Y, X, P^-1) it also returns, and rescaled:
-    J by 2^c, c = (ea + eb) / 2, P and X by ``_rescaled``, X by 2^((ea - eb) / 2)."""
+    ``_normalized`` pair and rescaled by exact powers of two: J by 2^c,
+    c = (ea + eb) / 2, P and X by ``_rescaled``, X by 2^((ea - eb) / 2)."""
     b, a = pa.operands
     # J's zero blocks are the n - rank BA that the rank quadruple counts
     _, root_jf, p_inv = _sqrt_jordan(b @ a, pa.cluster_gap, pa.ranks[3])
@@ -485,8 +485,7 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> tuple[JordanSVD, tuple]:
     dx = d + (pa.ea - pa.eb) // 2
     u = _pow2(x, dx), _pow2(y.T, -dx).T  # Y's rows scale inversely
     v = _pow2(p, d), _pow2(p_inv.T, -d).T
-    jsvd = _accepted("Jordan SVD", u, j, v, blocks, (pa.m.a, pa.m.b), recon_tol)
-    return jsvd, (p, j_pinv, y, x, p_inv)
+    return _accepted("Jordan SVD", u, j, v, blocks, (pa.m.a, pa.m.b), recon_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +615,21 @@ def pinv(
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> DCMatrix:
-    """Moore-Penrose pseudoinverse via the Jordan SVD: V [J+, J+] U*.
-    ``rng`` is accepted for compatibility and ignored."""
+    """Moore-Penrose pseudoinverse V [J+, J+] U*, read off the verified factors
+    of the pair's Jordan SVD and checked against the Penrose axioms.  ``rng``
+    is accepted for compatibility and ignored."""
     pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    p, j_pinv, y, x, p_inv = pa.jordan_svd(recon_tol)[1]
-    k = DCMatrix(_pow2(p @ j_pinv @ y, -pa.ea), _pow2(x @ (j_pinv @ p_inv), -pa.eb))
+    jsvd = pa.jordan_svd(recon_tol)
+    (x, y), (p, p_inv) = (jsvd.u.a, jsvd.u.b), (jsvd.v.a, jsvd.v.b)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        j_pinv = _jordan_pinv(jsvd.s.a)
+        k = DCMatrix(p @ j_pinv @ y, x @ (j_pinv @ p_inv))
+    if not math.isfinite(k.norm_inf()):
+        raise VerificationFailed("pseudoinverse leaves the range")
     axioms = _penrose(pa.ab, pa.ea, pa.eb, k, recon_tol)
     if not all(axioms):
         raise VerificationFailed(f"axioms {list(axioms)}")
@@ -707,7 +712,7 @@ def _attempt_jordan_svd(
     if reason is None:
         try:
             if rank_ok:
-                jsvd = pa.jordan_svd(recon_tol)[0]
+                jsvd = pa.jordan_svd(recon_tol)
             else:
                 jsvd = hermitian_jsvd(
                     pa.m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap

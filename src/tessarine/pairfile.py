@@ -103,6 +103,8 @@ def load_pair(path) -> DCMatrix:
             raise PairFormatError(f"invalid JSON: {ex}") from ex
         except UnicodeDecodeError as ex:
             raise PairFormatError(f"not UTF-8 text: {ex}") from ex
+        except RecursionError:
+            raise PairFormatError("invalid JSON: nested too deeply") from None
     return obj_to_pair(obj)
 
 

@@ -140,6 +140,13 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exit_2(self, tmp_path, capsys):
+        # json.load recurses once per bracket and raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/file.json"]) == 2
 

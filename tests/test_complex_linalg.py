@@ -193,7 +193,7 @@ class TestJordan:
         )
 
 
-class TestSchurOnlyForRepeatedClusters:
+class TestChainsForRepeatedClusters:
     """Simple eigenvalues take their eig vectors; only repeated ones reach
     the kernel-staircase chain builder."""
 
@@ -217,13 +217,13 @@ class TestSchurOnlyForRepeatedClusters:
         got = [(round(l.real, 6), round(l.imag, 6), s) for l, s in jf.blocks]
         return got, len(calls)
 
-    def test_one_schur_for_one_repeated_cluster(self, monkeypatch):
+    def test_one_chain_build_per_repeated_cluster(self, monkeypatch):
         blocks = ((-1 + 0j, 1), (2 + 0j, 2), (3j, 1), (5 + 0j, 1))
         got, calls = self.decompose_counting_chains(monkeypatch, blocks, 9)
         assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 2), (5.0, 0.0, 1)]
         assert calls == 1
 
-    def test_distinct_eigenvalues_never_call_schur(self, monkeypatch):
+    def test_distinct_eigenvalues_build_no_chains(self, monkeypatch):
         blocks = ((-1 + 0j, 1), (2 + 0j, 1), (3j, 1), (5 + 0j, 1))
         got, calls = self.decompose_counting_chains(monkeypatch, blocks, 10)
         assert got == [(-1.0, 0.0, 1), (0.0, 3.0, 1), (2.0, 0.0, 1), (5.0, 0.0, 1)]
@@ -440,7 +440,7 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
-class TestLazyScipy:
+class TestNumpyOnly:
     """scipy is never loaded: the package runs on numpy alone."""
 
     def test_import_leaves_scipy_unloaded(self):

@@ -1167,6 +1167,24 @@ def test_power_of_two_scaling_is_exact(case):
             assert got is want
 
 
+_DEFECTIVE = jordan_matrix(((1, 2), (3, 1)))  # J_2(1) + [3]
+_GAUGE = crand(np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("e", [-40, 40])
+@pytest.mark.parametrize("b", [
+    _DEFECTIVE, _GAUGE @ _DEFECTIVE @ np.linalg.inv(_GAUGE)
+], ids=["jordan", "gauged"])
+def test_power_of_two_scaling_is_exact_for_defective_j(b, e):
+    # J's chain columns are rescaled one power of two each, and pinv reads
+    # V [J+, J+] U* off the rescaled factors: [I, 2^e B]+ = [C, 2^-e D]
+    eye = np.eye(3)
+    want, got = pinv(DCMatrix(eye, b)), pinv(DCMatrix(eye, 2.0**e * b))
+    assert np.array_equal(got.a, want.a)
+    assert np.array_equal(got.b, want.b * 2.0**-e)
+    assert all(penrose_check(DCMatrix(eye, 2.0**e * b), got, 1e-7))
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(rank_condition_draws())
 def test_pinv_commutes_with_star(case):
@@ -1197,6 +1215,17 @@ def test_extreme_scales_stay_in_the_hierarchy(entry, k):
             pass
     with pytest.raises(VerificationFailed, match="leaves the range"):
         jordan_decomposition(2.0**k * long_chain_pair().b, cluster_gap=1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pinv_out_of_range_is_refused():
+    # [A, I] with A^-1 = 1e308 diag(1, 10): V [J+, J+] U* overflows as it
+    # is formed from the returned factors, and pinv refuses inside the
+    # hierarchy; a pseudoinverse just inside the range is still returned
+    with pytest.raises(VerificationFailed, match="leaves the range"):
+        pinv(DCMatrix(1e-308 * np.diag([1, 0.1]), np.eye(2)))
+    k = pinv(DCMatrix(1e-308 * np.diag([1, 0.6]), np.eye(2)))
+    assert np.isfinite(k.a).all()
 
 
 class TestInversesPerCall:
