@@ -281,9 +281,14 @@ def jordan_matrix(blocks: Blocks) -> np.ndarray:
 
     The superdiagonal holds ones inside blocks and zeros between them.
     """
-    diag = [lam for lam, size in blocks for _ in range(size)]
-    j = np.diag(np.array(diag, dtype=complex) + 0)  # + 0 maps -0.0 to +0.0
-    j.flat[1 :: len(diag) + 1] = [i < n - 1 for _, n in blocks for i in range(n)][:-1]
+    # + 0 maps -0.0 to +0.0
+    diag = [lam + 0 for lam, size in blocks for _ in range(size)]
+    n = len(diag)
+    j = np.zeros((n, n), dtype=complex)
+    j.flat[:: n + 1] = diag
+    if n > len(blocks):  # some block has size > 1
+        ones = [i < size - 1 for _, size in blocks for i in range(size)]
+        j.flat[1 :: n + 1] = ones[:-1]
     return j
 
 
@@ -331,13 +336,19 @@ def _pow2(x: np.ndarray, k) -> np.ndarray:
 
 def _rescaled(blocks: Blocks, j: np.ndarray, c: int) -> tuple:
     """Blocks and Jordan matrix of 2^c J for J = j, and the power of two d of
-    each basis column that keeps the superdiagonal 1: c * (size // 2 - i)."""
-    if math.frexp(max((abs(lam) for lam, _ in blocks), default=0.0))[1] + c > 1024:
+    each basis column that keeps the superdiagonal 1: c * (size // 2 - i),
+    or 0 where every block is 1x1."""
+    # the largest modulus; only a rescale up can leave the range
+    top = max([abs(lam) for lam, _ in blocks], default=0.0) if c > 0 else 0.0
+    if math.frexp(top)[1] + c > 1024:
         raise VerificationFailed(f"rescaling by 2^{c} leaves the range")
     s, j = 2.0**c, j.copy()  # exact: c is the exponent of a double
     j.reshape(-1)[:: len(j) + 1] *= s
+    blocks = tuple((lam * s, n) for lam, n in blocks)
+    if len(j) == len(blocks):  # every block is 1x1: no column moves
+        return blocks, j, 0
     d = [c * (size // 2 - i) for _, size in blocks for i in range(size)]
-    return tuple((lam * s, n) for lam, n in blocks), j, np.array(d) if any(d) else 0
+    return blocks, j, np.array(d) if any(d) else 0
 
 
 def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> JordanForm:
@@ -354,26 +365,31 @@ def jordan_decomposition(a, *, cluster_gap: float = DEFAULT_CLUSTER_GAP) -> Jord
     return _jordan_form(a, cluster_gap)[0]
 
 
-def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray]:
-    """``jordan_decomposition`` of a along with the inverse of its basis P:
+def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray, float]:
+    """``jordan_decomposition`` of a along with the inverse of its basis P,
     the inverse the residual gate computes, its rows rescaled inversely to
-    P's columns."""
+    P's columns, and a's scale max_abs(a), so that no caller reads it again."""
     a = _as_square(a)
     n = a.shape[0]
-    scale = max_abs(a)
-    if not math.isfinite(scale):
+    big = max_abs(a)
+    if not math.isfinite(big):
         raise NonFiniteInput("matrix has a non-finite entry")
-    if scale == 0:
+    if big == 0:
         blocks = tuple((0j, 1) for _ in range(n))
         eye = np.eye(n, dtype=complex)
-        return JordanForm(eye, np.zeros((n, n), complex), blocks), eye.copy()
-    e = max(math.frexp(scale)[1] - 1, -1022)
-    a, scale = a / 2.0**e, scale / 2.0**e  # exact: a power of two
+        return JordanForm(eye, np.zeros((n, n), complex), blocks), eye.copy(), big
+    e = max(math.frexp(big)[1] - 1, -1022)
+    scale = big / 2.0**e  # exact: a power of two, as is a / 2^e
+    if e:
+        a = a / 2.0**e
     gap = cluster_gap * scale
 
     eigs, vecs = np.linalg.eig(a)
     clusters = _cluster_indices(np.abs(eigs[:, None] - eigs[None, :]).tolist(), gap)
-    unit = vecs / np.linalg.norm(vecs, axis=0)
+    # numpy's own 2-norm of each column (np.linalg.norm(vecs, axis=0))
+    unit = vecs / np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=0))
+    # + 0j maps -0.0 to +0.0 as np.mean does
+    values = (eigs + 0j).tolist()
 
     max_spread = 0.0
     blocks: list[tuple[complex, int]] = []
@@ -381,11 +397,9 @@ def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray]:
     # ``width`` columns of ``stack``: unit eigenvectors, then chains
     stack, picks, width = [unit], [], n
     for idx in clusters:
-        if len(idx) == 1:
-            # a simple eigenvalue: its chain is its unit eigenvector;
-            # + 0j maps -0.0 to +0.0 as np.mean does
+        if len(idx) == 1:  # a simple eigenvalue: its chain is its unit eigenvector
             picks.append(idx[0])
-            blocks.append((complex(eigs[idx[0]]) + 0j, 1))
+            blocks.append((values[idx[0]], 1))
             continue
         lam = complex(np.mean(eigs[idx]))
         spread = float(max(abs(eigs[i] - lam) for i in idx))
@@ -397,7 +411,9 @@ def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray]:
         stack.append(chains)
         blocks += [(lam, size) for size in sizes]
     blocks, cols = _canonical_order(blocks)
-    p = np.concatenate(stack, axis=1).take([picks[c] for c in cols], axis=1)
+    if len(stack) > 1:
+        unit = np.concatenate(stack, axis=1)
+    p = unit.take([picks[c] for c in cols], axis=1)
 
     j = jordan_matrix(blocks)
     try:
@@ -413,7 +429,7 @@ def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray]:
             f"{allowance:.3e}; eigenvalue structure unresolved"
         )
     blocks, j, d = _rescaled(blocks, j, e)
-    return JordanForm(_pow2(p, d), j, blocks), _pow2(p_inv.T, -d).T
+    return JordanForm(_pow2(p, d), j, blocks), _pow2(p_inv.T, -d).T, big
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +479,12 @@ def _sqrt_jordan(
     the builder's P^-1 solved against T; one column permutation puts both
     in canonical order.
     """
-    jf, p_inv = _jordan_form(a, cluster_gap)
-    scale = max_abs(a)
+    jf, p_inv, scale = _jordan_form(a, cluster_gap)
     axis_tol = cluster_gap * scale
-    by_modulus = sorted(range(len(jf.blocks)), key=lambda i: abs(jf.blocks[i][0]))
-    zero = set(by_modulus[: a.shape[0] - rank_a])
+    zero = ()
+    if rank_a < len(a):
+        by_modulus = sorted(range(len(jf.blocks)), key=lambda i: abs(jf.blocks[i][0]))
+        zero = set(by_modulus[: len(a) - rank_a])
 
     root_blocks: list[tuple[complex, int]] = []
     t = None  # no chain block: T = I

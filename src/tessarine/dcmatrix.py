@@ -30,7 +30,7 @@ def _as_square(m) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max modulus; 0.0 for empty arrays."""
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
 def _norm_inf(a: np.ndarray, b: np.ndarray) -> float:
@@ -65,6 +65,17 @@ class DCMatrix:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _built(cls, a: np.ndarray, b: np.ndarray) -> "DCMatrix":
+        """[a, b] from two complex n x n arrays the library has just built:
+        made read-only, not checked again."""
+        a.setflags(write=False)
+        b.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "a", a)
+        object.__setattr__(m, "b", b)
+        return m
 
     @property
     def n(self) -> int:

@@ -110,11 +110,15 @@ class ExistenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _normalized(m: DCMatrix) -> tuple[np.ndarray, int, int]:
+def _normalized(
+    m: DCMatrix, big: tuple[float, float] | None = None
+) -> tuple[np.ndarray, int, int]:
     """[A / 2^ea, B / 2^eb] as one (2, n, n) array, ea and eb: each max
     modulus in [1, 2) (e = 0 for a zero operand, e >= -1022), but eb steps
-    toward 0 where ea + eb is odd."""
-    big = max_abs(m.a), max_abs(m.b)
+    toward 0 where ea + eb is odd.  ``big`` is (max_abs(A), max_abs(B)) where
+    the caller has read them."""
+    if big is None:
+        big = max_abs(m.a), max_abs(m.b)
     if not all(map(math.isfinite, big)):
         raise NonFiniteInput("matrix pair has a non-finite entry")
     ea, eb = (max(math.frexp(x)[1] - 1, -1022) if x else 0 for x in big)
@@ -137,19 +141,23 @@ class _PairAnalysis:
     only verdicts outside the rank condition need, come when first asked
     for.  It runs on the ``_normalized`` pair, which raises
     ``NonFiniteInput``; a stacked LAPACK call gives each matrix the bits of
-    its own call.
+    its own call.  ``scale`` is the pair's max modulus, read once here for
+    the Jordan SVD's residual gate.
     """
 
     def __init__(
         self, m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
     ):
         self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
-        self.ab, self.ea, self.eb = _normalized(m)
+        big = max_abs(m.a), max_abs(m.b)
+        self.ab, self.ea, self.eb = _normalized(m, big)
+        self.scale = max(big)
         self.operands = self.ab[1], self.ab[0]  # side 0's operand, then side 1's
         self.svds = np.linalg.svd(self.ab[::-1])  # u, s, vh of side 0, then side 1
         s, vh = self.svds[1:]
         self._zero = tol * s.max(axis=1, initial=0.0)
-        self._level1 = [vh[side][: _sv_rank(s[side], tol)] for side in (0, 1)]
+        self._level1 = [vh[side][: np.count_nonzero(s[side] > self._zero[side])]
+                        for side in (0, 1)]
         level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
         self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
@@ -214,7 +222,11 @@ class _PairAnalysis:
     def nullities(self, side: int) -> list[int]:
         """dim ker x^k for k = 1, 2, ... while it grows, of x = AB (side 0)
         or BA (side 1): (AB)^k is the word of length 2k that ends in B."""
-        return sorted({self.m.n - r for r in self.words[side][1::2]})
+        return self._nullities[side]
+
+    @cached_property
+    def _nullities(self) -> tuple[list[int], list[int]]:
+        return tuple(sorted({self.m.n - r for r in w[1::2]}) for w in self.words)
 
     def ab_similar_ba(self) -> bool:
         """AB ~ BA: by Flanders' theorem AB and BA share their Jordan blocks
@@ -264,38 +276,47 @@ def _analysis(
 # ---------------------------------------------------------------------------
 
 
-def _verified_residual(what: str, approx, target, recon_tol: float) -> float:
+def _verified_residual(
+    what: str, approx, target, recon_tol: float, scale: float | None = None
+) -> float:
     """max-modulus residual of approx against target, both component pairs
     (A, B), or ``VerificationFailed`` unless it is at most recon_tol times
     the finite scale of target: ``(approx - target).norm_inf()`` of the
-    DCMatrix algebra, with no DCMatrix built."""
+    DCMatrix algebra, with no DCMatrix built.  ``scale`` is
+    ``_norm_inf(*target)`` where the caller knows it."""
     residual = _norm_inf(approx[0] - target[0], approx[1] - target[1])
-    if not residual <= recon_tol * _norm_inf(*target) < math.inf:
+    if scale is None:
+        scale = _norm_inf(*target)
+    if not residual <= recon_tol * scale < math.inf:
         raise VerificationFailed(
             f"{what} residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
         )
     return residual
 
 
-def _accepted(what: str, u, j, v, blocks, target, recon_tol: float) -> JordanSVD:
+def _accepted(
+    what: str, u, j, v, blocks, target, recon_tol: float, scale: float | None = None
+) -> JordanSVD:
     """The Jordan SVD U [J, J] V* of target, all component pairs, once U is
     unitary (|Y X - I| <= recon_tol for U = [X, Y]) and the reconstruction
-    passes ``_verified_residual``, both on the factors returned; else
-    ``VerificationFailed``, the unitarity check first."""
+    passes ``_verified_residual`` (at target's ``scale`` where known), both
+    on the factors returned; else ``VerificationFailed``, the unitarity
+    check first."""
     drift = _gram_drift(*u)
     if not drift <= recon_tol:
         raise VerificationFailed(
             f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
         )
     s = j, j
-    residual = _verified_residual(what, _usv(u, s, v), target, recon_tol)
-    u, s, v = (DCMatrix(*f) for f in (u, s, v))
+    residual = _verified_residual(what, _usv(u, s, v), target, recon_tol, scale)
+    u, s, v = (DCMatrix._built(*f) for f in (u, s, v))
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 
 
-def _is_hermitian(m: DCMatrix, tol: float) -> bool:
-    """Is m of the form [A, A], up to tol relative to its scale?"""
-    return m.is_hermitian(tol * m.norm_inf())
+def _is_hermitian(m: DCMatrix, tol: float, scale: float | None = None) -> bool:
+    """Is m of the form [A, A], up to tol relative to its scale
+    ``m.norm_inf()``, read here unless given?"""
+    return m.is_hermitian(tol * (m.norm_inf() if scale is None else scale))
 
 
 def _usv(u, s, v) -> tuple[np.ndarray, np.ndarray]:
@@ -362,15 +383,16 @@ def penrose_check(
     """
     if m.n != k.n:
         raise DimensionMismatch(f"dimension mismatch: {m.n} vs {k.n}")
-    return _penrose(*_normalized(m), k, tol)
+    ab, ea, eb = _normalized(m)
+    return _penrose(ab, np.array((_pow2(k.a, ea), _pow2(k.b, eb))), tol)
 
 
 def _penrose(
-    ab: np.ndarray, ea: int, eb: int, k: DCMatrix, tol: float
+    ab: np.ndarray, cd: np.ndarray, tol: float
 ) -> tuple[bool, bool, bool, bool]:
-    """``penrose_check`` on the ``_normalized`` pair ab, with both components
-    in each product: AC, BD, CA and DB are formed once each."""
-    cd = np.array((_pow2(k.a, ea), _pow2(k.b, eb)))
+    """``penrose_check`` of the ``_normalized`` pair ab and cd, the candidate
+    rescaled to match, with both components in each product: AC, BD, CA and
+    DB are formed once each."""
     ref = tol * max(max_abs(ab), max_abs(cd))
     ac_bd, ca_db = ab @ cd, cd @ ab
     ax1 = max_abs(ac_bd @ ab - ab) <= ref
@@ -425,8 +447,10 @@ def _jordan_pinv(j: np.ndarray) -> np.ndarray:
     in its place inverts to j's blockwise inverse with a one there, which
     is then removed.
     """
-    d = np.diag(j)
-    if not j.diagonal(1).any():
+    d = j.diagonal()
+    if not np.count_nonzero(j.diagonal(1)):
+        if np.count_nonzero(d) == len(d):  # no -0.0 on j's diagonal: d + 0 is d
+            return np.diag(1 / d)
         zero = d == 0
         return np.diag((1 - zero) / (d + zero))
     ones = np.diag(d == 0)
@@ -473,8 +497,8 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
 
     # A P = X J fixes X at J's nonzero blocks, B X = P J puts ker B at its zero ones
     x = a @ p @ j_pinv
-    zero = [span.start for lam, span in _block_spans(root_jf.blocks) if lam == 0]
-    if zero:
+    if pa.ranks[3] < pa.m.n:
+        zero = [span.start for lam, span in _block_spans(root_jf.blocks) if lam == 0]
         x[:, zero] = pa.kernel(0)
     try:
         y = np.linalg.inv(x)
@@ -485,7 +509,8 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
     dx = d + (pa.ea - pa.eb) // 2
     u = _pow2(x, dx), _pow2(y.T, -dx).T  # Y's rows scale inversely
     v = _pow2(p, d), _pow2(p_inv.T, -d).T
-    return _accepted("Jordan SVD", u, j, v, blocks, (pa.m.a, pa.m.b), recon_tol)
+    target = pa.m.a, pa.m.b
+    return _accepted("Jordan SVD", u, j, v, blocks, target, recon_tol, pa.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +530,8 @@ def _halfplane_normalized_factors(
     superdiagonals.  Z = P S for h's Jordan basis P, so Z^-1 = S P^-1 is the
     builder's P^-1 with the signs applied to its rows.
     """
-    jf, p_inv = _jordan_form(h, cluster_gap)
-    axis_tol = cluster_gap * max_abs(h)
+    jf, p_inv, scale = _jordan_form(h, cluster_gap)
+    axis_tol = cluster_gap * scale
     blocks, z_signs, flips = [], [], []
     for lam, size in jf.blocks:
         flip = not in_halfplane(lam, axis_tol)
@@ -536,9 +561,10 @@ def polar_to_jsvd(
     reconstructs, raises ``VerificationFailed``.
     """
     uf, hf = pd.unitary_factor, pd.hermitian_factor
-    if not all(math.isfinite(f.norm_inf()) for f in (uf, hf)):
+    h_scale = hf.norm_inf()
+    if not (math.isfinite(uf.norm_inf()) and math.isfinite(h_scale)):
         raise NonFiniteInput("polar factor has a non-finite entry")
-    if not _is_hermitian(hf, tol):
+    if not _is_hermitian(hf, tol, h_scale):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
     h = (hf.a + hf.b) / 2
     blocks, z, z_inv, e = _halfplane_normalized_factors(h, cluster_gap)
@@ -575,14 +601,14 @@ def jsvd_to_polar(jsvd: JordanSVD) -> PolarDecomposition:
 
 
 def _verified_polar(
-    jsvd: JordanSVD, m: DCMatrix, recon_tol: float
+    jsvd: JordanSVD, m: DCMatrix, recon_tol: float, scale: float | None = None
 ) -> tuple[PolarDecomposition, float]:
     """``jsvd_to_polar`` of a Jordan SVD of m, with its residual against m
-    checked by the polar gate."""
+    checked by the polar gate (at m's ``scale`` where known)."""
     pd = jsvd_to_polar(jsvd)
     uf, hf = pd.unitary_factor, pd.hermitian_factor
     uh = _product((uf.a, uf.b), (hf.a, hf.b))
-    return pd, _verified_residual("polar", uh, (m.a, m.b), recon_tol)
+    return pd, _verified_residual("polar", uh, (m.a, m.b), recon_tol, scale)
 
 
 def polar(
@@ -599,7 +625,8 @@ def polar(
     from ``jordan_svd`` propagate unchanged.  ``rng`` is ignored.
     """
     jsvd = jordan_svd(m, tol, recon_tol=recon_tol, cluster_gap=cluster_gap)
-    return _verified_polar(jsvd, m, recon_tol)[0]
+    scale = _analysis(m, tol, cluster_gap).scale  # the memo's: m is read once
+    return _verified_polar(jsvd, m, recon_tol, scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +644,31 @@ def pinv(
 ) -> DCMatrix:
     """Moore-Penrose pseudoinverse V [J+, J+] U*, read off the verified factors
     of the pair's Jordan SVD and checked against the Penrose axioms.  ``rng``
-    is accepted for compatibility and ignored."""
+    is accepted for compatibility and ignored.
+
+    K is formed and checked on the normalized pair's factors, which undo
+    ``_jordan_svd``'s exact power-of-two rescales, and is rescaled once on the
+    way out, so a K near the ends of the range is formed without overflow; a
+    K that leaves the range raises ``VerificationFailed``, while entries below
+    the normal range are kept rounded, as the pair's own entries may be."""
     pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
     jsvd = pa.jordan_svd(recon_tol)
-    (x, y), (p, p_inv) = (jsvd.u.a, jsvd.u.b), (jsvd.v.a, jsvd.v.b)
+    # _jordan_svd's exponents, negated: J by 2^-c, and d undoes P's columns'
+    c, dx = (pa.ea + pa.eb) // 2, (pa.ea - pa.eb) // 2
+    _, j, d = _rescaled(jsvd.blocks, jsvd.s.a, -c)
+    x, y = _pow2(jsvd.u.a, d - dx), _pow2(jsvd.u.b.T, dx - d).T
+    p, p_inv = _pow2(jsvd.v.a, d), _pow2(jsvd.v.b.T, -d).T
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        j_pinv = _jordan_pinv(jsvd.s.a)
-        k = DCMatrix(p @ j_pinv @ y, x @ (j_pinv @ p_inv))
+        j_pinv = _jordan_pinv(j)
+        cd = np.array((p @ j_pinv @ y, x @ (j_pinv @ p_inv)))
+        k = DCMatrix(cd[0] * 2.0**-pa.ea, cd[1] * 2.0**-pa.eb)
     if not math.isfinite(k.norm_inf()):
         raise VerificationFailed("pseudoinverse leaves the range")
-    axioms = _penrose(pa.ab, pa.ea, pa.eb, k, recon_tol)
+    axioms = _penrose(pa.ab, cd, recon_tol)
     if not all(axioms):
         raise VerificationFailed(f"axioms {list(axioms)}")
     return k

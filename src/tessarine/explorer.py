@@ -274,7 +274,7 @@ def conjecture_scan(
         summary.trials += 1
         key = ("similar" if rec.similar_ab_ba else "not_similar", rec.jsvd_status)
         summary.cells[key] = summary.cells.get(key, 0) + 1
-        if rec.jsvd_status == JsvdStatus.UNKNOWN.value:
+        if rec.jsvd_status == "unknown":  # JsvdStatus.UNKNOWN.value
             summary.unknown_cells += 1
         if not rec.consistent:
             summary.consistent = False

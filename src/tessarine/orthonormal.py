@@ -113,8 +113,10 @@ def random_vector(d: int, rng: np.random.Generator) -> DCVector:
 def _gram_drift(x: np.ndarray, y: np.ndarray) -> float:
     """max |<s_i, s_k> - delta_ik| over the columns s_k = (x[:, k], y[k])
     of a d x k pair [X, Y]: <s_i, s_k> = ((Y X)[i, k], (Y X)[k, i]), so
-    this is max |Y X - I|."""
-    return max_abs(y @ x - np.eye(x.shape[1]))
+    this is max |Y X - I|, I subtracted in place."""
+    g = y @ x
+    g.reshape(-1)[:: len(g) + 1] -= 1
+    return max_abs(g)
 
 
 def _check_orthonormal(s: list[DCVector], d: int, tol: float):

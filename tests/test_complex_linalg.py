@@ -230,6 +230,40 @@ class TestChainsForRepeatedClusters:
         assert calls == 0
 
 
+class TestClusterIndices:
+    """Single-linkage clustering of eigenvalues on a line, gap 1e-6: the
+    ambiguity band is (1e-6, 1e-5)."""
+
+    GAP = 1e-6
+
+    def clusters(self, points):
+        dist = [[abs(x - y) for y in points] for x in points]
+        return complex_linalg._cluster_indices(dist, self.GAP)
+
+    def test_single_linkage_chains(self):
+        # a ~ b and b ~ c within the gap; a and c are 1.6 gaps apart, inside
+        # the band, but in one cluster that is no ambiguity
+        assert self.clusters([0.0, 0.8e-6, 1.6e-6, 1.0]) == [[0, 1, 2], [3]]
+
+    def test_clusters_ordered_by_least_member(self):
+        # 1 ~ 5 joins first, then 3 ~ 5 puts the union under 3's root: the
+        # cluster still sits where its least member 1 does
+        points = [10.0, 0.0, 20.0, 1.2e-6, 30.0, 0.6e-6]
+        assert self.clusters(points) == [[0], [1, 3, 5], [2], [4]]
+
+    def test_ambiguity_reports_first_crossing_pair_in_cluster_order(self):
+        # clusters {0, 3}, {1}, {2}; pairs in the band: (0, 2) 7.5 gaps,
+        # (1, 2) 4 gaps and (2, 3) 7 gaps.  In cluster order the first pair of
+        # clusters is ({0, 3}, {2}), and its closest members are 7 gaps apart
+        points = [0.0, 11.5e-6, 7.5e-6, 0.5e-6]
+        with pytest.raises(ClusterAmbiguity) as info:
+            self.clusters(points)
+        assert str(info.value) == (
+            "eigenvalue clusters separated by 7.000e-06, inside the ambiguity "
+            "band (1.000e-06, 1.000e-05); adjust cluster_gap"
+        )
+
+
 # eigenvalues one apart: far outside the SEPARATION_FACTOR * gap band below
 EIGENVALUE_GRID = [complex(re, im) for re in range(-2, 3) for im in range(-2, 3)]
 MIXED_GAP = 1e-4

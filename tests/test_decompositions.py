@@ -1228,6 +1228,19 @@ def test_pinv_out_of_range_is_refused():
     assert np.isfinite(k.a).all()
 
 
+def test_pinv_near_the_end_of_the_range_is_returned():
+    # A^-1 has entries near 1.5e308: V [J+, J+] U* formed at the pair's own
+    # scale overflows, but formed on the normalized pair's factors and
+    # rescaled once it is finite and passes the axioms
+    rng = np.random.default_rng(0)
+    q = crand(rng, 2)
+    m = DCMatrix(1e-308 * (q @ np.diag([1, 0.5]) @ np.linalg.inv(q)), np.eye(2))
+    k = pinv(m)
+    assert np.isfinite(k.a).all() and np.isfinite(k.b).all()
+    assert k.norm_inf() > 1e308
+    assert penrose_check(m, k, DEFAULT_RECON_TOL) == (True, True, True, True)
+
+
 class TestInversesPerCall:
     """At most one inverse per similarity: the Jordan basis of BA, inverted
     by its builder's gate (the root's basis, shared by V, reuses it), J's
@@ -1502,6 +1515,53 @@ class TestPairAnalysedOnce:
         jsvd, report = attempt_jordan_svd(word_counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
         assert counts == {"jordan": 0, "svd": 7, "inv": 0}
+
+
+class TestScalesReadOnce:
+    """Each array's scale is read once and handed on: every ``max_abs`` call
+    is counted, in every module that calls it, with the analysis memo empty.
+    A Jordan SVD reads A and B once for the normalization and the residual
+    gate's scale, BA once for the Jordan builder and the root's gate, and
+    then one array per gate: the builder's and the root's residuals, |Y X -
+    I| and the two components of the reconstruction residual."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        monkeypatch.setattr(decompositions, "_last", None)
+        reads = []
+        original = max_abs
+
+        def counted(a):
+            reads.append(a.shape)
+            return original(a)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.startswith("tessarine")
+                    and getattr(mod, "max_abs", None) is original):
+                monkeypatch.setattr(mod, "max_abs", counted)
+        return reads
+
+    def test_jordan_svd(self, reads):
+        # ea = eb = 1: no factor is rescaled, so no range check reads one
+        m = explorer.generate_pair("invertible", 4, np.random.default_rng(3))
+        jordan_svd(m)
+        assert len(reads) == 8
+
+    def test_polar_to_jsvd(self, reads):
+        # both factors' finiteness (2 + 2, H's scale kept for the Hermitian
+        # gate), A - B of that gate, H for its Jordan builder and the
+        # builder's residual, |Y X - I|, the residual and its target's scale
+        m = explorer.generate_pair("invertible", 4, np.random.default_rng(3))
+        pd = polar(m)
+        reads.clear()
+        polar_to_jsvd(pd)
+        assert len(reads) == 12
+
+    def test_dense_trial(self, reads):
+        # the verdicts read no scale: only the Jordan SVD's 8 reads remain
+        record = explorer.run_trial(7, "dense", 4)
+        assert record.jsvd_status == "exists"
+        assert len(reads) == 8
 
 
 def _same(x: DCMatrix, y: DCMatrix) -> bool:
