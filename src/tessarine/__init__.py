@@ -11,11 +11,7 @@ from .dcnum import DoubleComplex, sqrt_halfplane
 from .dcmatrix import DCMatrix, direct_sum, embed_complex
 from .complex_linalg import (
     JordanForm,
-    SubspaceBasis,
-    column_space,
     jordan_decomposition,
-    null_space,
-    pinv_complex,
     rank,
     similar,
     sqrt_via_jordan,
@@ -61,11 +57,7 @@ __all__ = [
     "direct_sum",
     "embed_complex",
     "JordanForm",
-    "SubspaceBasis",
-    "column_space",
     "jordan_decomposition",
-    "null_space",
-    "pinv_complex",
     "rank",
     "similar",
     "sqrt_via_jordan",

@@ -1,9 +1,8 @@
 """Complex-matrix kernels used by the double-complex decompositions.
 
 Everything here works on plain complex numpy arrays: numerical rank,
-kernel staircases, orthonormal subspace bases, a dense Jordan
-decomposition for desk-scale matrices, primary matrix square roots
-through the Jordan form, the complex Moore-Penrose pseudoinverse, and
+kernel staircases, a dense Jordan decomposition for desk-scale
+matrices, primary matrix square roots through the Jordan form, and
 similarity testing.
 
 The Jordan machinery is deliberately scoped: eigenvalues are clustered
@@ -34,35 +33,12 @@ DEFAULT_CLUSTER_GAP = 1e-6
 SEPARATION_FACTOR = 10.0
 JORDAN_RECON_TOL = 1e-6
 SQRT_RECON_TOL = 1e-8
+# _orth_columns spans kernel bases and chain columns, all of unit scale: a
+# direction this small relative to them repeats one, far below the 1e-6 gap
+# that chain generators must clear.
+_ORTH_KEEP_TOL = 1e-10
 
 Blocks = tuple[tuple[complex, int], ...]
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace, stored as the columns of ``vectors``."""
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def contains(self, w: np.ndarray, tol: float = 1e-8) -> bool:
-        """Is w in the span, up to tol relative to its norm?"""
-        w = np.asarray(w, dtype=complex).reshape(-1)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return True
-        v = self.vectors
-        resid = w - v @ (v.conj().T @ w)
-        return np.linalg.norm(resid) <= tol * nw
-
-    def contains_subspace(self, other: "SubspaceBasis", tol: float = 1e-8) -> bool:
-        return all(self.contains(other.vectors[:, i], tol) for i in range(other.dim))
-
-    def equals(self, other: "SubspaceBasis", tol: float = 1e-8) -> bool:
-        return self.contains_subspace(other, tol) and other.contains_subspace(self, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,30 +112,6 @@ def _staircase_sizes(nullities: list[int]) -> list[int]:
     ]
 
 
-def _image_and_kernel(a, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Orthonormal bases of the image and the right kernel from one SVD."""
-    a = _as_square(a)
-    u, s, vh = np.linalg.svd(a)
-    r = _sv_rank(s, tol)
-    return SubspaceBasis(u[:, :r].copy()), SubspaceBasis(vh[r:].conj().T.copy())
-
-
-def null_space(a, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the right kernel at the given relative tolerance."""
-    return _image_and_kernel(a, tol)[1]
-
-
-def column_space(a, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the image (column space)."""
-    return _image_and_kernel(a, tol)[0]
-
-
-def pinv_complex(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Complex Moore-Penrose pseudoinverse (SVD-based)."""
-    a = np.asarray(a, dtype=complex)
-    return np.linalg.pinv(a, rcond=tol)
-
-
 # ---------------------------------------------------------------------------
 # Jordan decomposition
 # ---------------------------------------------------------------------------
@@ -212,10 +164,10 @@ def _cluster_indices(dist: list[list[float]], gap: float) -> list[list[int]]:
     return clusters
 
 
-def _orth_columns(cols: np.ndarray, keep_tol: float = 1e-10) -> np.ndarray:
+def _orth_columns(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (SVD-based)."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :_sv_rank(s, keep_tol)]
+    return u[:, :_sv_rank(s, _ORTH_KEEP_TOL)]
 
 
 def _cluster_chains(

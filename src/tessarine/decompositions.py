@@ -460,7 +460,6 @@ def _jordan_pinv(j: np.ndarray) -> np.ndarray:
 def jordan_svd(
     m: DCMatrix,
     tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
     *,
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
@@ -473,9 +472,8 @@ def jordan_svd(
     with X = A P J+ at the nonzero blocks of J and a basis of ker B at
     its 1x1 zero blocks; check that U is unitary (|Y X - I| <= recon_tol
     for U = [X, Y]) and verify m = U S V*, both on the factors returned,
-    by the gate ``polar_to_jsvd`` shares.
-    The construction draws no random numbers: ``rng`` is accepted for
-    compatibility and ignored.
+    by the gate ``polar_to_jsvd`` shares.  The construction draws no
+    random numbers.
     """
     pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
@@ -665,9 +663,7 @@ def pinv(
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         j_pinv = _jordan_pinv(j)
         cd = np.array((p @ j_pinv @ y, x @ (j_pinv @ p_inv)))
-        k = DCMatrix(cd[0] * 2.0**-pa.ea, cd[1] * 2.0**-pa.eb)
-    if not math.isfinite(k.norm_inf()):
-        raise VerificationFailed("pseudoinverse leaves the range")
+    k = _unnormalized(cd, pa)
     axioms = _penrose(pa.ab, cd, recon_tol)
     if not all(axioms):
         raise VerificationFailed(f"axioms {list(axioms)}")
@@ -685,7 +681,8 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
 
     Both components are built together: one stacked SVD checks the two
     direct sums [A Im(B), ker(B)] and [B Im(A), ker(A)], and one stacked
-    inversion maps each to [its image, 0].
+    inversion maps each to [its image, 0].  The result is rescaled as
+    ``pinv``'s is: one that leaves the range raises ``VerificationFailed``.
     """
     pa = _analysis(m, tol)
     if not pa.pinv_exists:
@@ -702,9 +699,18 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
         if _sv_rank(sv, tol) < n:
             raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
     targets = np.concatenate((images, np.zeros((2, n, n - r), dtype=complex)), axis=2)
-    c, d = targets @ np.linalg.inv(sums)
-    return DCMatrix(_pow2(c, -pa.ea), _pow2(d, -pa.eb))
+    return _unnormalized(targets @ np.linalg.inv(sums), pa)
 
+
+def _unnormalized(cd: np.ndarray, pa: _PairAnalysis) -> DCMatrix:
+    """The pseudoinverse [2^-ea C, 2^-eb D] of m from [C, D] of its
+    ``_normalized`` pair: ``VerificationFailed`` if it overflows, while
+    entries below the normal range are kept rounded, as m's own may be."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in a complex product
+        k = DCMatrix(cd[0] * 2.0**-pa.ea, cd[1] * 2.0**-pa.eb)
+    if not math.isfinite(k.norm_inf()):
+        raise VerificationFailed("pseudoinverse leaves the range")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +721,6 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
 def attempt_jordan_svd(
     m: DCMatrix,
     tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
     *,
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
@@ -729,7 +734,7 @@ def attempt_jordan_svd(
     when a factorization was produced and verified (constructive route
     under the rank condition, or the Hermitian route); ``unknown``
     otherwise: equal word ranks prove existence, but only those two routes
-    build factors.  ``rng`` is ignored.
+    build factors.
     """
     pa = _analysis(m, tol, cluster_gap)
     return _attempt_jordan_svd(pa, recon_tol)

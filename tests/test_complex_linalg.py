@@ -1,4 +1,4 @@
-"""Complex kernels: rank, subspaces, Jordan form, roots, similarity."""
+"""Complex kernels: rank, kernel staircases, Jordan form, roots, similarity."""
 
 import os
 import subprocess
@@ -14,11 +14,8 @@ from tessarine import complex_linalg
 from tessarine.complex_linalg import (
     JORDAN_RECON_TOL,
     SEPARATION_FACTOR,
-    column_space,
     jordan_decomposition,
     jordan_matrix,
-    null_space,
-    pinv_complex,
     rank,
     similar,
     sqrt_via_jordan,
@@ -26,8 +23,9 @@ from tessarine.complex_linalg import (
     _same_structure,
     _staircase_sizes,
 )
-from tessarine.dcmatrix import max_abs
+from tessarine.dcmatrix import DCMatrix, max_abs
 from tessarine.dcnum import DEFAULT_TOL
+from tessarine.decompositions import rank_quadruple
 from tessarine.errors import ClusterAmbiguity, NilpotentBlock
 
 
@@ -59,32 +57,13 @@ class TestRank:
             assert rank(a) == rank(a.T) == rank(np.conj(a))
 
 
-class TestSubspaces:
-    def test_null_of_identity_empty(self):
-        assert null_space(np.eye(3)).dim == 0
-
-    def test_column_space_of_shift(self):
-        cs = column_space(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert cs.dim == 1
-        assert cs.contains(np.array([1, 0]))
-        assert not cs.contains(np.array([0, 1]))
-
-    def test_rank_nullity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            r = int(rng.integers(0, 5))
-            a = crand(rng, 4, r) @ crand(rng, r, 4) if r else np.zeros((4, 4))
-            assert null_space(a).dim + column_space(a).dim == 4
-
-
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("factor, want", [(1.001, 2), (0.999, 1)])
 def test_zero_rule_boundary_agrees(scale, factor, want):
     # one singular value just above or just below tol * sigma_1
     a = scale * np.diag([DEFAULT_TOL * factor, 1.0, 0.0]).astype(complex)
     assert rank(a) == want
-    assert 3 - null_space(a).dim == want
-    assert column_space(a).dim == want
+    assert rank_quadruple(DCMatrix(a, np.eye(3)))[0] == want
     zero = DEFAULT_TOL * np.linalg.norm(a, 2)
     assert 3 - _kernel_staircase(a, zero)[0].shape[1] == want
 
@@ -386,30 +365,6 @@ def test_chains_of_length_3_resolve_at_any_scale(scale):
     assert [size for _, size in jf.blocks] == [3, 2]
     residual = max_abs(jf.p @ jf.j @ np.linalg.inv(jf.p) - a)
     assert residual <= JORDAN_RECON_TOL * max_abs(a)
-
-
-class TestPinvComplex:
-    def test_identity(self):
-        assert np.allclose(pinv_complex(np.eye(3)), np.eye(3))
-
-    def test_zero_block(self):
-        assert np.allclose(pinv_complex(np.array([[0.0]])), [[0.0]])
-
-    def test_diagonal(self):
-        assert np.allclose(
-            pinv_complex(np.diag([2.0, 0.0])), np.diag([0.5, 0.0])
-        )
-
-    def test_penrose_axioms_random(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            r = int(rng.integers(0, 5))
-            a = crand(rng, 4, r) @ crand(rng, r, 4) if r else np.zeros((4, 4))
-            k = pinv_complex(a)
-            assert np.abs(a @ k @ a - a).max() <= 1e-9 * max(1, np.abs(a).max())
-            assert np.abs(k @ a @ k - k).max() <= 1e-9 * max(1, np.abs(k).max())
-            assert np.abs((a @ k).conj().T - a @ k).max() <= 1e-9
-            assert np.abs((k @ a).conj().T - k @ a).max() <= 1e-9
 
 
 class TestSimilar:

@@ -14,7 +14,6 @@ from tessarine.dcnum import DEFAULT_TOL
 from tessarine.complex_linalg import (
     jordan_decomposition,
     jordan_matrix,
-    pinv_complex,
     similar,
     _same_structure,
 )
@@ -167,7 +166,7 @@ class TestJordanSvd:
         p = crand(rng, 3)
         a = p @ j @ np.linalg.inv(p)
         m = DCMatrix(a, a)
-        out = jordan_svd(m, rng=np.random.default_rng(2))
+        out = jordan_svd(m)
         assert blocks_close(out.blocks, ((1 + 0j, 2), (3 + 0j, 1)))
         # U = V = [P', P'^-1] for the Hermitian invertible case
         assert (out.u - out.v).norm_inf() <= 1e-7
@@ -177,7 +176,7 @@ class TestJordanSvd:
         rng = np.random.default_rng(3)
         for n in range(1, 6):
             m = rand_pair(rng, n)
-            out = jordan_svd(m, rng=np.random.default_rng(n))
+            out = jordan_svd(m)
             assert out.residual <= 1e-7 * m.norm_inf()
             assert out.u.is_unitary(1e-8)
             assert out.v.is_unitary(1e-8)
@@ -191,7 +190,7 @@ class TestJordanSvd:
         rng = np.random.default_rng(4)
         for trial in range(20):
             m = rank_condition_pair(int(rng.integers(2, 6)), rng)
-            out = jordan_svd(m, rng=np.random.default_rng(trial))
+            out = jordan_svd(m)
             assert out.residual <= 1e-7 * m.norm_inf()
             assert out.u.is_unitary(1e-8) and out.v.is_unitary(1e-8)
             # square-root lemma: no non-trivially nilpotent blocks
@@ -201,14 +200,14 @@ class TestJordanSvd:
     def test_halfplane_eigenvalues(self):
         rng = np.random.default_rng(5)
         m = rand_pair(rng, 4)
-        out = jordan_svd(m, rng=rng)
+        out = jordan_svd(m)
         for lam, _ in out.blocks:
             assert lam.real > -1e-8
             assert lam.real > 1e-8 or lam.imag >= -1e-8
 
     def test_zero_matrix(self):
         m = DCMatrix.zeros(3)
-        out = jordan_svd(m, rng=np.random.default_rng(0))
+        out = jordan_svd(m)
         assert out.residual == 0.0
         assert out.u.is_unitary(1e-8) and out.v.is_unitary(1e-8)
         assert max_abs(out.s.a) == 0.0
@@ -395,7 +394,7 @@ class TestAttempt:
 
     def test_invertible_exists(self):
         rng = np.random.default_rng(14)
-        jsvd, report = attempt_jordan_svd(rand_pair(rng, 3), rng=rng)
+        jsvd, report = attempt_jordan_svd(rand_pair(rng, 3))
         assert report.jsvd_status is JsvdStatus.EXISTS
         assert report.pinv_exists
         assert jsvd is not None
@@ -706,7 +705,7 @@ class TestHermitianRoute:
     def test_converts_to_polar(self):
         rng = np.random.default_rng(21)
         m = rand_pair(rng, 3)
-        out = jordan_svd(m, rng=rng)
+        out = jordan_svd(m)
         pd = jsvd_to_polar(out)
         assert pd.unitary_factor.is_unitary(1e-8)
         assert pd.hermitian_factor.is_hermitian(1e-10)
@@ -1022,7 +1021,10 @@ class TestUnitaryByConstruction:
     @pytest.mark.parametrize("name", PAIRS)
     def test_factors_do_not_depend_on_the_rng(self, name):
         m = self.PAIRS[name]()
-        first, second = (jordan_svd(m, rng=np.random.default_rng(s)) for s in (0, 1))
+        first = jordan_svd(m)
+        jordan_svd(DCMatrix.identity(m.n))  # the memo now holds another pair
+        second = jordan_svd(m)  # built again, with no rng to draw from
+        assert second is not first
         assert zero_block_columns(first.blocks)
         assert np.array_equal(first.u.a, second.u.a)
         assert np.array_equal(first.u.b, second.u.b)
@@ -1228,6 +1230,18 @@ def test_pinv_out_of_range_is_refused():
     assert np.isfinite(k.a).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("construction", [pinv, pinv_via_diagrams])
+def test_both_pseudoinverses_leave_the_normalized_scale_alike(construction):
+    # K = [1e-308 I, I] has subnormal entries and is returned by both; the
+    # A^-1 = 1e308 diag(1, 10) of the second pair overflows and is refused
+    # by both, with one message
+    k = construction(DCMatrix(1e308 * np.eye(2), np.eye(2)))
+    assert np.array_equal(k.a, 1e-308 * np.eye(2)) and np.array_equal(k.b, np.eye(2))
+    with pytest.raises(VerificationFailed, match="^pseudoinverse leaves the range$"):
+        construction(DCMatrix(1e-308 * np.diag([1, 0.1]), np.eye(2)))
+
+
 def test_pinv_near_the_end_of_the_range_is_returned():
     # A^-1 has entries near 1.5e308: V [J+, J+] U* formed at the pair's own
     # scale overflows, but formed on the normalized pair's factors and
@@ -1352,8 +1366,8 @@ def real_matrices(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(real_matrices())
 def test_pinv_of_real_embedding_is_the_complex_pinv(a):
-    # A -> [A, A^T] respects products and the star, so it carries pinv_complex
-    k, want = pinv(embed_complex(a)), pinv_complex(a)
+    # A -> [A, A^T] respects products and the star, so it carries A's pinv
+    k, want = pinv(embed_complex(a)), np.linalg.pinv(a, rcond=DEFAULT_TOL)
     scale = max_abs(want)
     assert max_abs(k.a - want) <= DEFAULT_RECON_TOL * scale
     assert max_abs(k.b - want.T) <= DEFAULT_RECON_TOL * scale
