@@ -8,10 +8,13 @@ similarity testing.
 The Jordan machinery is deliberately scoped: eigenvalues are clustered
 at a caller-adjustable gap, clusters must be well separated, and every
 result is verified by reconstruction.  One rule per cluster: a simple
-eigenvalue's chain is its unit eigenvector from ``numpy.linalg.eig``;
+eigenvalue's chain is its unit eigenvector from LAPACK's eig;
 a repeated cluster's chains come from the kernel staircase of
 ``a - lam I``.  Only numpy is needed.  When the eigenvalue geometry cannot be resolved reliably the
 functions raise ``ClusterAmbiguity`` rather than guessing.
+
+Every SVD, eigendecomposition, inverse and solve of the package goes
+through one layer here (``_svd``, ``_eig``, ``_inv``, ``_solve``).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dcnum import DEFAULT_TOL, halfplane_sqrt
 from .dcmatrix import _as_square, max_abs
@@ -39,6 +43,61 @@ SQRT_RECON_TOL = 1e-8
 _ORTH_KEEP_TOL = 1e-10
 
 Blocks = tuple[tuple[complex, int], ...]
+
+
+# ---------------------------------------------------------------------------
+# LAPACK dispatch
+# ---------------------------------------------------------------------------
+# At desk scale numpy.linalg's front end costs more than the LAPACK work it
+# wraps.  These functions call the gufuncs it calls, on complex (stacks of)
+# matrices, under its own error state: the same gufunc on the same array
+# gives numpy.linalg's bits, and a LAPACK failure raises its LinAlgError
+# with its message.  Inputs are finite; numpy.linalg.eig's own check for
+# that is not repeated.
+
+
+def _raising(message: str) -> np.errstate:
+    """numpy.linalg's error state: a LAPACK failure, flagged as invalid,
+    raises ``LinAlgError(message)``; overflow, division and underflow pass."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(
+        call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
+@_raising("SVD did not converge")
+def _svd(a, full_matrices=True, compute_uv=True):
+    """``np.linalg.svd(a, full_matrices, compute_uv)``: (u, s, vh) or s."""
+    if not compute_uv:
+        return _umath_linalg.svd(a, signature="D->d")
+    gufunc = _umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s
+    return gufunc(a, signature="D->DdD")
+
+
+@_raising("Eigenvalues did not converge")
+def _eig(a):
+    """``np.linalg.eig(a)``: eigenvalues and unit eigenvectors."""
+    return _umath_linalg.eig(a, signature="D->DD")
+
+
+@_raising("Singular matrix")
+def _inv(a):
+    """``np.linalg.inv(a)``."""
+    return _umath_linalg.inv(a, signature="D->D")
+
+
+@_raising("Singular matrix")
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for a matrix (or stack of matrices) b."""
+    return _umath_linalg.solve(a, b, signature="DD->D")
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column, as numpy's ``norm(x, axis=0)`` forms it."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +119,7 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
-    return _sv_rank(np.linalg.svd(a, compute_uv=False), tol)
+    return _sv_rank(_svd(a, compute_uv=False), tol)
 
 
 def _sv_rank(s: np.ndarray, tol: float) -> int:
@@ -85,7 +144,7 @@ def _kernel_staircase(
     bases: list[np.ndarray] = []
     projected = x
     while True:
-        _, s, vh = np.linalg.svd(projected)
+        _, s, vh = _svd(projected)
         r = int(np.count_nonzero(s > zero))
         if bases and n - r <= bases[-1].shape[1]:
             return bases
@@ -166,7 +225,7 @@ def _cluster_indices(dist: list[list[float]], gap: float) -> list[list[int]]:
 
 def _orth_columns(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (SVD-based)."""
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    u, s, _ = _svd(cols, full_matrices=False)
     return u[:, :_sv_rank(s, _ORTH_KEEP_TOL)]
 
 
@@ -206,15 +265,15 @@ def _cluster_chains(
             obstruction = np.hstack([bases[k - 2], active]) if k >= 2 else active
             q = _orth_columns(obstruction)
             cand = bases[k - 1] - q @ (q.conj().T @ bases[k - 1])
-            u, sv, _ = np.linalg.svd(cand, full_matrices=False)
+            u, sv, _ = _svd(cand, full_matrices=False)
             if len(sv) < need or sv[need - 1] < 1e-6:
                 raise ClusterAmbiguity("could not separate Jordan chain generators")
             gens = u[:, :need]
             members = [gens]
             for _ in range(k - 1):
                 members.append(e @ members[-1])
-            tops = np.linalg.norm(gens, axis=0)
-            norm2 = tops * (tops if k == 1 else np.linalg.norm(members[-1], axis=0))
+            tops = _column_norms(gens)
+            norm2 = tops * (tops if k == 1 else _column_norms(members[-1]))
             if not norm2.min() > 0:
                 raise ClusterAmbiguity(f"degenerate Jordan chain ({norm2.min():.3e})")
             # n x need x k, eigenvectors first: chain after chain once flattened
@@ -336,10 +395,9 @@ def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray, float]:
         a = a / 2.0**e
     gap = cluster_gap * scale
 
-    eigs, vecs = np.linalg.eig(a)
+    eigs, vecs = _eig(a)
     clusters = _cluster_indices(np.abs(eigs[:, None] - eigs[None, :]).tolist(), gap)
-    # numpy's own 2-norm of each column (np.linalg.norm(vecs, axis=0))
-    unit = vecs / np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=0))
+    unit = vecs / _column_norms(vecs)
     # + 0j maps -0.0 to +0.0 as np.mean does
     values = (eigs + 0j).tolist()
 
@@ -369,7 +427,7 @@ def _jordan_form(a, cluster_gap: float) -> tuple[JordanForm, np.ndarray, float]:
 
     j = jordan_matrix(blocks)
     try:
-        p_inv = np.linalg.inv(p)
+        p_inv = _inv(p)
     except np.linalg.LinAlgError:
         raise ClusterAmbiguity("Jordan chain basis is singular") from None
     residual = max_abs(p @ j @ p_inv - a)
@@ -458,7 +516,7 @@ def _sqrt_jordan(
             t[span, span] = _root_chain_basis(lam, mu, size)
     p = jf.p
     if t is not None:
-        p, p_inv = p @ t, np.linalg.solve(t, p_inv)
+        p, p_inv = p @ t, _solve(t, p_inv)
 
     # canonical re-sort of the root's blocks (sqrt reshuffles the order)
     blocks, cols = _canonical_order(root_blocks)

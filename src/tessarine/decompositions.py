@@ -31,12 +31,14 @@ from .complex_linalg import (
     jordan_matrix,
     _block_spans,
     _canonical_order,
+    _inv,
     _jordan_form,
     _pow2,
     _rescaled,
     _sqrt_jordan,
     _staircase_sizes,
     _sv_rank,
+    _svd,
 )
 from .errors import (
     DimensionMismatch,
@@ -153,7 +155,7 @@ class _PairAnalysis:
         self.ab, self.ea, self.eb = _normalized(m, big)
         self.scale = max(big)
         self.operands = self.ab[1], self.ab[0]  # side 0's operand, then side 1's
-        self.svds = np.linalg.svd(self.ab[::-1])  # u, s, vh of side 0, then side 1
+        self.svds = _svd(self.ab[::-1])  # u, s, vh of side 0, then side 1
         s, vh = self.svds[1:]
         self._zero = tol * s.max(axis=1, initial=0.0)
         self._level1 = [vh[side][: np.count_nonzero(s[side] > self._zero[side])]
@@ -190,10 +192,10 @@ class _PairAnalysis:
             elif not len(rows[other]):  # the other kernel is everything
                 nxt = rows[other]
             elif compute_uv:
-                _, s, vh = np.linalg.svd(rows[other] @ self.operands[side])
+                _, s, vh = _svd(rows[other] @ self.operands[side])
                 nxt = vh[: np.count_nonzero(s > self._zero[side])]
             else:
-                s = np.linalg.svd(rows[other] @ self.operands[side], compute_uv=False)
+                s = _svd(rows[other] @ self.operands[side], compute_uv=False)
                 nxt = s[s > self._zero[side]]
             # kernels nest: a level that reads a smaller one keeps the last
             level.append(nxt if len(nxt) <= len(rows[side]) else rows[side])
@@ -454,7 +456,7 @@ def _jordan_pinv(j: np.ndarray) -> np.ndarray:
         zero = d == 0
         return np.diag((1 - zero) / (d + zero))
     ones = np.diag(d == 0)
-    return np.linalg.inv(j + ones) - ones
+    return _inv(j + ones) - ones
 
 
 def jordan_svd(
@@ -499,7 +501,7 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
         zero = [span.start for lam, span in _block_spans(root_jf.blocks) if lam == 0]
         x[:, zero] = pa.kernel(0)
     try:
-        y = np.linalg.inv(x)
+        y = _inv(x)
     except np.linalg.LinAlgError:
         raise VerificationFailed("U is not unitary: X is singular") from None
 
@@ -595,7 +597,9 @@ def hermitian_jsvd(
 def jsvd_to_polar(jsvd: JordanSVD) -> PolarDecomposition:
     """U S V* = (U V*) (V S V*): unitary times Hermitian."""
     u, s, v = ((f.a, f.b) for f in (jsvd.u, jsvd.s, jsvd.v))
-    return PolarDecomposition(DCMatrix(*_product(u, v[::-1])), DCMatrix(*_usv(v, s, v)))
+    return PolarDecomposition(
+        DCMatrix._built(*_product(u, v[::-1])), DCMatrix._built(*_usv(v, s, v))
+    )
 
 
 def _verified_polar(
@@ -695,11 +699,11 @@ def pinv_via_diagrams(m: DCMatrix, tol: float = DEFAULT_TOL) -> DCMatrix:
     # normalized: an image meets the unit kernel at one scale
     sums = np.concatenate((pa.ab @ images, kernels), axis=2)
     names = "Im(A) + ker(B)", "Im(B) + ker(A)"
-    for sv, name in zip(np.linalg.svd(sums, compute_uv=False), names):
+    for sv, name in zip(_svd(sums, compute_uv=False), names):
         if _sv_rank(sv, tol) < n:
             raise NoPseudoinverse(f"direct sum decomposition {name} fails at tolerance")
     targets = np.concatenate((images, np.zeros((2, n, n - r), dtype=complex)), axis=2)
-    return _unnormalized(targets @ np.linalg.inv(sums), pa)
+    return _unnormalized(targets @ _inv(sums), pa)
 
 
 def _unnormalized(cd: np.ndarray, pa: _PairAnalysis) -> DCMatrix:
@@ -707,7 +711,7 @@ def _unnormalized(cd: np.ndarray, pa: _PairAnalysis) -> DCMatrix:
     ``_normalized`` pair: ``VerificationFailed`` if it overflows, while
     entries below the normal range are kept rounded, as m's own may be."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in a complex product
-        k = DCMatrix(cd[0] * 2.0**-pa.ea, cd[1] * 2.0**-pa.eb)
+        k = DCMatrix._built(cd[0] * 2.0**-pa.ea, cd[1] * 2.0**-pa.eb)
     if not math.isfinite(k.norm_inf()):
         raise VerificationFailed("pseudoinverse leaves the range")
     return k

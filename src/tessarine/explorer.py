@@ -20,7 +20,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dcmatrix import DCMatrix
-from .complex_linalg import DEFAULT_CLUSTER_GAP, jordan_matrix, rank, _same_structure
+from .complex_linalg import (
+    DEFAULT_CLUSTER_GAP,
+    jordan_matrix,
+    rank,
+    _inv,
+    _same_structure,
+    _solve,
+    _svd,
+)
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
     JsvdStatus,
@@ -137,12 +145,12 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
             (eig_pool[int(rng.integers(0, len(eig_pool)))], s) for s in sizes
         )
         p = _random_complex(rng, n, n)
-        target = p @ jordan_matrix(blocks) @ np.linalg.inv(p)
+        target = p @ jordan_matrix(blocks) @ _inv(p)
         while True:
             a = _random_complex(rng, n, n)
             if rank(a) == n:
                 break
-        return DCMatrix(a, np.linalg.solve(a, target))
+        return DCMatrix(a, _solve(a, target))
     if profile == "counterexample":
         if n < 2:
             raise BadProfile("counterexample profile needs n >= 2")
@@ -337,9 +345,9 @@ def uniqueness_scan(
         x = _well_conditioned(rng, m.n)
         y = _well_conditioned(rng, m.n)
         gauge = (
-            DCMatrix(x, np.linalg.inv(x))
+            DCMatrix(x, _inv(x))
             @ m
-            @ DCMatrix(y, np.linalg.inv(y)).star()
+            @ DCMatrix(y, _inv(y)).star()
         )
         alt = jordan_svd(gauge, tol, cluster_gap=cluster_gap)
         compare(rep, alt.blocks, "unitary_gauge", rep_seed)
@@ -356,6 +364,6 @@ def uniqueness_scan(
 def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         x = _random_complex(rng, n, n)
-        sv = np.linalg.svd(x, compute_uv=False)
+        sv = _svd(x, compute_uv=False)
         if sv[-1] > 1e-2 * sv[0]:
             return x

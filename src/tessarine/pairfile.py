@@ -26,6 +26,15 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _as_float(v) -> float:
+    """A JSON number as a float; an integer past the float range reads as
+    infinite, so that it is refused as not finite."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def scalar_to_obj(x: DoubleComplex) -> dict:
     """Standalone tessarine scalars serialize as {"p": [re,im], "q": [re,im]}."""
     return {
@@ -43,7 +52,7 @@ def obj_to_scalar(obj) -> DoubleComplex:
         if (
             not isinstance(cell, list)
             or len(cell) != 2
-            or not all(_is_number(v) and math.isfinite(v) for v in cell)
+            or not all(_is_number(v) and math.isfinite(_as_float(v)) for v in cell)
         ):
             raise PairFormatError(f'"{key}" must be a finite [re, im] pair')
         parts[key] = complex(float(cell[0]), float(cell[1]))
@@ -66,7 +75,7 @@ def _grid_to_array(grid, n: int, name: str) -> np.ndarray:
                 raise PairFormatError(
                     f"{name}[{i}][{k}] must be a [re, im] number pair"
                 )
-            re, im = float(cell[0]), float(cell[1])
+            re, im = _as_float(cell[0]), _as_float(cell[1])
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise PairFormatError(f"{name}[{i}][{k}] is not finite")
             out[i, k] = complex(re, im)
@@ -103,6 +112,8 @@ def load_pair(path) -> DCMatrix:
             raise PairFormatError(f"invalid JSON: {ex}") from ex
         except UnicodeDecodeError as ex:
             raise PairFormatError(f"not UTF-8 text: {ex}") from ex
+        except ValueError as ex:  # an integer past Python's int-string conversion limit
+            raise PairFormatError(f"number out of range: {ex}") from ex
         except RecursionError:
             raise PairFormatError("invalid JSON: nested too deeply") from None
     return obj_to_pair(obj)

@@ -99,6 +99,8 @@ class TestPairFile:
             obj_to_scalar({"p": [0, 0]})
         with pytest.raises(PairFormatError):
             obj_to_scalar({"p": [True, 0], "q": [0, 0]})
+        with pytest.raises(PairFormatError, match="finite"):
+            obj_to_scalar({"p": [0, -(10**400)], "q": [0, 0]})
 
 
 class TestCheck:
@@ -144,6 +146,16 @@ class TestCheck:
         # json.load recurses once per bracket and raises RecursionError
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "1" * 4301],
+                             ids=["past_float_range", "past_digit_limit"])
+    def test_oversized_integer_exit_2(self, tmp_path, capsys, number):
+        # float() of 10^400 raises OverflowError; json.load refuses an
+        # integer of more than 4300 digits with ValueError
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"n": 1, "A": [[[{number}, 0]]], "B": [[[1, 0]]]}}')
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("input error: ")
 

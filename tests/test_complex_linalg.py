@@ -1,5 +1,6 @@
 """Complex kernels: rank, kernel staircases, Jordan form, roots, similarity."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,9 +20,13 @@ from tessarine.complex_linalg import (
     rank,
     similar,
     sqrt_via_jordan,
+    _eig,
+    _inv,
     _kernel_staircase,
     _same_structure,
+    _solve,
     _staircase_sizes,
+    _svd,
 )
 from tessarine.dcmatrix import DCMatrix, max_abs
 from tessarine.dcnum import DEFAULT_TOL
@@ -469,3 +474,71 @@ class TestNumpyOnly:
             """
         )
         assert out.returncode == 0, out.stderr
+
+
+def same_bits(got, want) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def square_layouts():
+    """Complex square inputs as the package meets them: one matrix, a stack of
+    two, that stack's negative-stride view and a Fortran-ordered matrix."""
+    rng = np.random.default_rng(27)
+    ab = crand(rng, 8, 4).reshape(2, 4, 4)
+    return {
+        "square": crand(rng, 4, 4),
+        "stacked": ab,
+        "reversed": ab[::-1],
+        "fortran": np.asfortranarray(crand(rng, 4, 4)),
+    }
+
+
+class TestLapackLayer:
+    """Each function of the LAPACK layer returns numpy.linalg's bits and
+    raises its errors, and no module calls numpy.linalg's front end."""
+
+    @pytest.mark.parametrize("layout", [*square_layouts(), "wide", "tall"])
+    def test_svd(self, layout):
+        rng = np.random.default_rng(5)
+        a = {"wide": crand(rng, 3, 5), "tall": crand(rng, 5, 3),
+             **square_layouts()}[layout]
+        for full in (True, False):
+            for got, want in zip(_svd(a, full), np.linalg.svd(a, full)):
+                assert same_bits(got, want)
+        assert same_bits(_svd(a, compute_uv=False), np.linalg.svd(a, compute_uv=False))
+
+    @pytest.mark.parametrize("layout", square_layouts())
+    def test_eig_inv_solve(self, layout):
+        a = square_layouts()[layout]
+        rows = a.size // a.shape[-1]
+        b = crand(np.random.default_rng(6), rows, 3).reshape(*a.shape[:-1], 3)
+        for got, want in zip(_eig(a), np.linalg.eig(a)):
+            assert same_bits(got, want)
+        assert same_bits(_inv(a), np.linalg.inv(a))
+        assert same_bits(_solve(a, b), np.linalg.solve(a, b))
+        assert same_bits(_solve(a, b[..., ::-1]), np.linalg.solve(a, b[..., ::-1]))
+
+    def test_singular_matrix(self):
+        a = np.array([[1, 2], [2, 4]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _inv(a)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _solve(a, np.eye(2, dtype=complex))
+
+    def test_no_numpy_linalg_call_in_the_package(self):
+        # every numpy.linalg name a module reads is LinAlgError; only the
+        # layer imports the gufunc module
+        for path in Path(complex_linalg.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "linalg"
+                        and isinstance(node.value.value, ast.Name)
+                        and node.value.value.id in ("np", "numpy")):
+                    assert node.attr == "LinAlgError", f"{path.name}:{node.lineno}"
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""]
+                    names += [alias.name for alias in node.names]
+                    if any(name.startswith("numpy.linalg") for name in names):
+                        assert path.name == "complex_linalg.py", path.name

@@ -88,6 +88,20 @@ def permutation_pair():
     )
 
 
+def count_calls(monkeypatch, name, tally, key):
+    """Count every call of ``complex_linalg``'s ``name`` in ``tally[key]``,
+    through each tessarine module that binds it."""
+    original = getattr(complex_linalg, name)
+
+    def counted(*args, **kwargs):
+        tally[key] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("tessarine") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
 def blocks_close(got, want, tol=1e-8):
     if len(got) != len(want):
         return False
@@ -1262,14 +1276,8 @@ class TestInversesPerCall:
 
     @pytest.fixture
     def inversions(self, monkeypatch):
-        calls = []
-        original = np.linalg.inv
-
-        def counted(a):
-            calls.append(1)
-            return original(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        calls = {"inv": 0}
+        count_calls(monkeypatch, "_inv", calls, "inv")
         return calls
 
     @pytest.mark.parametrize("n", [4, 16])
@@ -1277,16 +1285,16 @@ class TestInversesPerCall:
     def test_at_most_four(self, inversions, factor, n):
         m = rank_condition_pair(n, np.random.default_rng(n), r=n // 2)
         factor(m)
-        assert len(inversions) <= 4
+        assert inversions["inv"] <= 4
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_polar_to_jsvd_at_most_two(self, inversions, n):
         # the Jordan basis of H, by its builder's gate: Z^-1 is its inverse
         # with the signs applied, W^-1 that with rows sign-flipped
         pd = polar(rank_condition_pair(n, np.random.default_rng(n), r=n // 2))
-        inversions.clear()
+        inversions["inv"] = 0
         polar_to_jsvd(pd)
-        assert len(inversions) <= 2
+        assert inversions["inv"] <= 2
 
 
 class TestInverseReuse:
@@ -1308,18 +1316,12 @@ class TestInverseReuse:
 
     def test_root_chain_block_solves_against_its_basis(self, monkeypatch):
         # BA = J_2(1) + [3]: the root has a size-2 block
-        solves = []
-        solve = np.linalg.solve
-
-        def counted(*args):
-            solves.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        solves = {"solve": 0}
+        count_calls(monkeypatch, "_solve", solves, "solve")
         m = DCMatrix(np.eye(3), jordan_matrix(((1 + 0j, 2), (3 + 0j, 1))))
         jsvd = self.check_factors(m)
         assert [size for _, size in jsvd.blocks] == [2, 1]
-        assert solves
+        assert solves["solve"]
 
     @pytest.mark.parametrize("s", [1.0, 1e150, 1e-150])
     def test_semisimple_zero_cluster(self, s):
@@ -1378,7 +1380,7 @@ class TestPairAnalysedOnce:
     kernel ladder is one stacked SVD of A and B, and level 2 one
     singular-value SVD for each operand whose other operand is neither
     injective nor zero.  Every call of the one Jordan builder
-    (``_jordan_form``), of ``np.linalg.svd`` and of ``np.linalg.inv`` is
+    (``_jordan_form``) and of the LAPACK layer's ``_svd`` and ``_inv`` is
     counted, a stacked call once; each Jordan basis is inverted once, by the
     builder's residual gate.  Each test starts with an empty analysis memo."""
 
@@ -1386,24 +1388,8 @@ class TestPairAnalysedOnce:
     def counts(self, monkeypatch):
         monkeypatch.setattr(decompositions, "_last", None)
         counts = {"jordan": 0, "svd": 0, "inv": 0}
-        original = complex_linalg._jordan_form
-
-        def counted(*args, **kwargs):
-            counts["jordan"] += 1
-            return original(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if (mod_name.startswith("tessarine")
-                    and getattr(mod, "_jordan_form", None) is original):
-                monkeypatch.setattr(mod, "_jordan_form", counted)
-        for name in ("svd", "inv"):
-            kernel = getattr(np.linalg, name)
-
-            def counted_kernel(*args, _name=name, _kernel=kernel, **kwargs):
-                counts[_name] += 1
-                return _kernel(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted_kernel)
+        for name, key in (("_jordan_form", "jordan"), ("_svd", "svd"), ("_inv", "inv")):
+            count_calls(monkeypatch, name, counts, key)
         return counts
 
     def test_dense_trial(self, counts):
@@ -1490,14 +1476,8 @@ class TestPairAnalysedOnce:
         # both pseudoinverses, polar and its round trip: 2 Jordan forms, each
         # basis inverted once by its gate, X once, the two direct sums together
         m = self.unseen_pair(monkeypatch)
-        eig = np.linalg.eig
         counts["eig"] = 0
-
-        def counted_eig(*args, **kwargs):
-            counts["eig"] += 1
-            return eig(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        count_calls(monkeypatch, "_eig", counts, "eig")
         counts.update(jordan=0, svd=0, inv=0)
         pinv(m)
         pinv_via_diagrams(m)
