@@ -119,6 +119,8 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
+    if not math.isfinite(max_abs(a)):
+        raise NonFiniteInput("matrix has a non-finite entry")
     return _sv_rank(_svd(a, compute_uv=False), tol)
 
 

@@ -138,13 +138,13 @@ class _PairAnalysis:
     ker_1^(k-1)} is the kernel of B restricted to the complement of
     ker_1^(k-1); side 1 mirrors it with A.  A singular value is zero at most
     tol * sigma1(B) on side 0 and tol * sigma1(A) on side 1, so by
-    interlacing rank AB >= rank A + rank B - n.  Level 1 is one stacked
-    SVD of B and A, level 2 singular values only; the levels past 2, which
-    only verdicts outside the rank condition need, come when first asked
-    for.  It runs on the ``_normalized`` pair, which raises
-    ``NonFiniteInput``; a stacked LAPACK call gives each matrix the bits of
-    its own call.  ``scale`` is the pair's max modulus, read once here for
-    the Jordan SVD's residual gate.
+    interlacing rank AB >= rank A + rank B - n.  The ladder is one list of
+    levels, each taken once with its singular vectors: level 1 by one stacked
+    SVD of B and A, level 2 here, and the levels past 2, which only verdicts
+    outside the rank condition need, by ``words``.  It runs on the
+    ``_normalized`` pair, which raises ``NonFiniteInput``; a stacked LAPACK
+    call gives each matrix the bits of its own call.  ``scale`` is the pair's
+    max modulus, read once here for the Jordan SVD's residual gate.
     """
 
     def __init__(
@@ -158,10 +158,10 @@ class _PairAnalysis:
         self.svds = _svd(self.ab[::-1])  # u, s, vh of side 0, then side 1
         s, vh = self.svds[1:]
         self._zero = tol * s.max(axis=1, initial=0.0)
-        self._level1 = [vh[side][: np.count_nonzero(s[side] > self._zero[side])]
-                        for side in (0, 1)]
-        level2 = self._next_level(self._level1, (m.n, m.n), compute_uv=False)
-        self.ranks = tuple(map(len, (*self._level1[::-1], *level2)))  # A, B, AB, BA
+        level1 = [vh[side][: np.count_nonzero(s[side] > self._zero[side])]
+                  for side in (0, 1)]
+        self._ladder = [level1, self._next_level(level1, (m.n, m.n))]
+        self.ranks = tuple(map(len, (*level1[::-1], *self._ladder[1])))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
         self._jsvds: dict = {}  # recon_tol -> the verified JordanSVD or its refusal
 
@@ -180,23 +180,18 @@ class _PairAnalysis:
             raise error(*args)
         return found
 
-    def _next_level(self, rows, prev, compute_uv=True, known=(None, None)) -> list:
+    def _next_level(self, rows, prev) -> list:
         """Complement rows of each side's next kernel from this level's, which
-        had ``prev`` rows a level before, or kept where the rank ``known``
-        says it does not grow; where ``compute_uv`` is False and an SVD is
-        taken, the nonzero singular values, as many as those rows."""
+        had ``prev`` rows a level before."""
         level = []
         for side, other in ((0, 1), (1, 0)):
-            if len(rows[other]) >= prev[other] or known[side] == len(rows[side]):
+            if len(rows[other]) >= prev[other]:  # the other kernel did not grow
                 nxt = rows[side]
             elif not len(rows[other]):  # the other kernel is everything
                 nxt = rows[other]
-            elif compute_uv:
+            else:
                 _, s, vh = _svd(rows[other] @ self.operands[side])
                 nxt = vh[: np.count_nonzero(s > self._zero[side])]
-            else:
-                s = _svd(rows[other] @ self.operands[side], compute_uv=False)
-                nxt = s[s > self._zero[side]]
             # kernels nest: a level that reads a smaller one keeps the last
             level.append(nxt if len(nxt) <= len(rows[side]) else rows[side])
         return level
@@ -204,40 +199,32 @@ class _PairAnalysis:
     @cached_property
     def words(self) -> tuple[list[int], list[int]]:
         """Ranks of the alternating words of length 1, 2, ... that end in B
-        (side 0) and in A (side 1), up to a length past which none changes."""
-        rank_a, rank_b, rank_ab, rank_ba = self.ranks
-        if (rank_ab, rank_ba) == (rank_b, rank_a):  # no kernel grew at level 2
-            return [rank_b, rank_ab], [rank_a, rank_ba]
-        level, prev, words = self._level1, (self.m.n,) * 2, ([rank_b], [rank_a])
-        known = (rank_ab, rank_ba)  # a side with no growth at level 2 takes no SVD
-        while any(len(r) < p for r, p in zip(level, prev)):
-            nxt = self._next_level(level, prev, True, known)
-            prev, level, known = list(map(len, level)), nxt, (None, None)
-            for ranks, rows in zip(words, level):
-                ranks.append(len(rows))
-        return words
+        (side 0) and in A (side 1): the ladder climbs while a kernel grows, on
+        a new list, so a thread sharing the memo's analysis reads a whole one."""
+        ladder = self._ladder
+        while any(len(r) < len(p) for r, p in zip(ladder[-1], ladder[-2])):
+            ladder = [*ladder, self._next_level(ladder[-1], [*map(len, ladder[-2])])]
+        self._ladder = ladder
+        return tuple([len(level[side]) for level in ladder] for side in (0, 1))
 
     def kernel(self, side: int) -> np.ndarray:
         """Orthonormal basis of ker B (side 0) or ker A (side 1)."""
-        return self.svds[2][side][len(self._level1[side]):].conj().T
-
-    def nullities(self, side: int) -> list[int]:
-        """dim ker x^k for k = 1, 2, ... while it grows, of x = AB (side 0)
-        or BA (side 1): (AB)^k is the word of length 2k that ends in B."""
-        return self._nullities[side]
+        return self.svds[2][side][len(self._ladder[0][side]):].conj().T
 
     @cached_property
-    def _nullities(self) -> tuple[list[int], list[int]]:
+    def nullities(self) -> tuple[list[int], list[int]]:
+        """dim ker x^k for k = 1, 2, ... while it grows, of x = AB (side 0)
+        and BA (side 1): (AB)^k is the word of length 2k that ends in B."""
         return tuple(sorted({self.m.n - r for r in w[1::2]}) for w in self.words)
 
     def ab_similar_ba(self) -> bool:
         """AB ~ BA: by Flanders' theorem AB and BA share their Jordan blocks
         at every nonzero eigenvalue, so equal nullities of powers decide it."""
-        return self.nullities(0) == self.nullities(1)
+        return self.nullities[0] == self.nullities[1]
 
     def necessary(self) -> tuple[bool, bool, bool]:
         """The three necessary conditions of ``jsvd_necessary``."""
-        roots = (_sizes_admit_sqrt(_staircase_sizes(self.nullities(s))) for s in (0, 1))
+        roots = (_sizes_admit_sqrt(_staircase_sizes(x)) for x in self.nullities)
         return (self.ranks[0] == self.ranks[1], *roots)
 
     def unequal_word(self) -> str | None:
@@ -303,14 +290,16 @@ def _accepted(
     unitary (|Y X - I| <= recon_tol for U = [X, Y]) and the reconstruction
     passes ``_verified_residual`` (at target's ``scale`` where known), both
     on the factors returned; else ``VerificationFailed``, the unitarity
-    check first."""
-    drift = _gram_drift(*u)
-    if not drift <= recon_tol:
-        raise VerificationFailed(
-            f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
-        )
+    check first.  Both are formed at target's scale: one that overflows is
+    non-finite, and refused."""
     s = j, j
-    residual = _verified_residual(what, _usv(u, s, v), target, recon_tol, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = _gram_drift(*u)
+        if not drift <= recon_tol:
+            raise VerificationFailed(
+                f"U is not unitary: |Y X - I| = {drift:.3e} exceeds {recon_tol:.1e}"
+            )
+        residual = _verified_residual(what, _usv(u, s, v), target, recon_tol, scale)
     u, s, v = (DCMatrix._built(*f) for f in (u, s, v))
     return JordanSVD(u=u, s=s, v=v, blocks=blocks, residual=residual)
 
@@ -566,7 +555,7 @@ def polar_to_jsvd(
         raise NonFiniteInput("polar factor has a non-finite entry")
     if not _is_hermitian(hf, tol, h_scale):
         raise PreconditionFailed("hermitian factor is not of the form [H, H]")
-    h = (hf.a + hf.b) / 2
+    h = hf.a / 2 + hf.b / 2  # (a + b) / 2 would overflow near the largest double
     blocks, z, z_inv, e = _halfplane_normalized_factors(h, cluster_gap)
     uf, hf = (uf.a, uf.b), (hf.a, hf.b)  # component pairs from here on
     with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow

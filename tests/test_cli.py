@@ -275,6 +275,26 @@ def test_overflowing_jordan_chains_keep_the_exit_contract(
     assert doc[key].startswith("VerificationFailed: ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command,want_code,key",
+    [("check", 0, "reason"), ("jsvd", 4, "error"), ("pinv", 4, "error"),
+     ("polar", 4, "error")],
+)
+def test_overflowing_gate_keeps_the_exit_contract(
+    tmp_path, capsys, command, want_code, key
+):
+    # ranks (1, 1, 1, 1), but U S V* overflows at the pair's own scale: the
+    # gate refuses it without a RuntimeWarning, which -W error would raise
+    a = np.zeros((4, 4))
+    a[1, 1] = 1
+    path = tmp_path / "over.json"
+    write_pair(path, a, 1e308 * np.ones((4, 4)))
+    code, doc = run_cli(capsys, command, str(path))
+    assert code == want_code
+    assert doc[key] == "VerificationFailed: Jordan SVD residual nan exceeds 1.0e-07 * scale"
+
+
 @pytest.mark.parametrize("command", ["check", "jsvd", "pinv", "polar"])
 def test_near_double_eigenvalue_exits_0(tmp_path, capsys, command):
     # BA has eigenvalues 1 and 1 + 1e-8, apart at this gap; its U' is about

@@ -1,5 +1,6 @@
 """The core factorizations: naive SVD, Jordan SVD, pseudoinverses, polar."""
 
+import itertools
 import sys
 import threading
 from functools import reduce
@@ -467,12 +468,19 @@ def _exact_rank(m):
 
 
 def test_word_ranks_match_exact_ranks():
-    # 0/1 pairs: the words are integer matrices, ranked exactly
+    # 0/1 pairs: the words are integer matrices, ranked exactly; all 256
+    # pairs at n = 2, then random ones at n = 2..4
     rng = np.random.default_rng(11)
-    for trial in range(2000):
+    bits = [np.array(x).reshape(2, 2) for x in itertools.product((0, 1), repeat=4)]
+    pairs = [(a, b) for a in bits for b in bits]
+    for _ in range(2000):
         n = int(rng.integers(2, 5))
-        a, b = ((rng.random((n, n)) < 0.35).astype(int) for _ in range(2))
-        words = _PairAnalysis(DCMatrix(a, b), 1e-9).words
+        pairs.append(tuple((rng.random((n, n)) < 0.35).astype(int) for _ in range(2)))
+    for trial, (a, b) in enumerate(pairs):
+        n, m = len(a), DCMatrix(a, b)
+        want = tuple(map(_exact_rank, (a, b, a @ b, b @ a)))
+        assert rank_quadruple(m, 1e-9) == want, trial
+        words = _PairAnalysis(m, 1e-9).words
         for side, (first, second) in enumerate(((b, a), (a, b))):
             word, want = first, []
             for k in range(2 * n + 1):  # no rank changes past length 2n
@@ -716,6 +724,16 @@ class TestHermitianRoute:
         assert blocks_close(out.blocks, ((0j, 1), (2 + 0j, 2)))
         assert (out.reconstruct() - m).norm_inf() <= 1e-7 * m.norm_inf()
 
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_largest_double(self):
+        # H = (A + B) / 2 would overflow here and refuse finite entries
+        m = DCMatrix(1e308 * np.eye(3), 1e308 * np.eye(3))
+        out = hermitian_jsvd(m)
+        assert out.blocks == ((1e308 + 0j, 1),) * 3 and out.residual == 0
+        n = np.array([[0, 1], [0, 0]])
+        _, report = attempt_jordan_svd(DCMatrix(1e308 * n, 1e308 * n))
+        assert report.reason == "VerificationFailed: rescaling by 2^+-1023 leaves the range"
+
     def test_converts_to_polar(self):
         rng = np.random.default_rng(21)
         m = rand_pair(rng, 3)
@@ -818,6 +836,8 @@ class TestNonFiniteInput:
         "naive_dc_svd": naive_dc_svd,
         "jordan_decomposition": lambda m: jordan_decomposition(m.b),
         "similar": lambda m: similar(m.a, m.b),
+        "rank": lambda m: complex_linalg.rank(m.b),
+        "sqrt_via_jordan": lambda m: complex_linalg.sqrt_via_jordan(m.b),
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -1377,9 +1397,9 @@ def test_pinv_of_real_embedding_is_the_complex_pinv(a):
 
 class TestPairAnalysedOnce:
     """Each pair's Jordan forms and ranks are computed once: level 1 of the
-    kernel ladder is one stacked SVD of A and B, and level 2 one
-    singular-value SVD for each operand whose other operand is neither
-    injective nor zero.  Every call of the one Jordan builder
+    kernel ladder is one stacked SVD of A and B, and each later level, taken
+    once, one SVD for each operand whose other operand is neither injective
+    nor zero.  Every call of the one Jordan builder
     (``_jordan_form``) and of the LAPACK layer's ``_svd`` and ``_inv`` is
     counted, a stacked call once; each Jordan basis is inverted once, by the
     builder's residual gate.  Each test starts with an empty analysis memo."""
@@ -1497,18 +1517,18 @@ class TestPairAnalysedOnce:
         assert counts == {"jordan": 1, "svd": 1, "inv": 2}
 
     def test_climb_skips_a_side_that_did_not_grow(self, counts):
-        # ranks (1, 1, 0, 1): level 2 grows on B's side only, so the climb
-        # takes one SVD there; then a full kernel and a reused level end it
+        # ranks (1, 1, 0, 1): levels 1 and 2 on construction; at level 3 B's
+        # side is reused, as A's did not grow, and A's meets a full kernel
         jsvd, report = attempt_jordan_svd(counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
-        assert counts == {"jordan": 0, "svd": 4, "inv": 0}
+        assert counts == {"jordan": 0, "svd": 3, "inv": 0}
 
     def test_word_verdict_climbs_once(self, counts):
-        # levels 1 and 2 on construction, then levels 2 and 3 with vectors;
-        # past them every step reuses a level or meets a full kernel
+        # levels 1 and 2 on construction, then level 3 on top of them; past
+        # it every step reuses a level or meets a full kernel
         jsvd, report = attempt_jordan_svd(word_counterexample_pair())
         assert report.jsvd_status is JsvdStatus.NOT_EXISTS
-        assert counts == {"jordan": 0, "svd": 7, "inv": 0}
+        assert counts == {"jordan": 0, "svd": 5, "inv": 0}
 
 
 class TestScalesReadOnce:
