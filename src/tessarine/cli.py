@@ -23,9 +23,8 @@ from .decompositions import (
     pinv,
     _verified_polar,
 )
-from .errors import NoPseudoinverse, TessarineError
-from .explorer import PROFILES, conjecture_scan, _blocks_as_json, _check_scan_args
-from .pairfile import PairFormatError, load_pair, pair_to_obj
+from .errors import PROFILES, NoPseudoinverse, TessarineError
+from .pairfile import PairFormatError, _blocks_as_json, load_pair, pair_to_obj
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -163,6 +162,9 @@ def cmd_pair(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    # only this command runs the explorer: a pair command does not load it
+    from .explorer import _check_scan_args, conjecture_scan
+
     profiles = tuple(p.strip() for p in args.profile.split(",") if p.strip())
     try:
         # reject bad arguments before --out is opened (and truncated)

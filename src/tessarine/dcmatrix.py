@@ -47,6 +47,15 @@ def _product(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x[0] @ y[0], y[1] @ x[1]
 
 
+def _gram_drift(x: np.ndarray, y: np.ndarray) -> float:
+    """max |<s_i, s_k> - delta_ik| over the columns s_k = (x[:, k], y[k])
+    of a d x k pair [X, Y]: <s_i, s_k> = ((Y X)[i, k], (Y X)[k, i]), so
+    this is max |Y X - I|, I subtracted in place."""
+    g = y @ x
+    g.reshape(-1)[:: len(g) + 1] -= 1
+    return max_abs(g)
+
+
 @dataclass(frozen=True, eq=False)
 class DCMatrix:
     """Immutable matrix pair [A, B] over the double-complex numbers."""

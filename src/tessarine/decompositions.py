@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .dcnum import DEFAULT_TOL, in_halfplane
-from .dcmatrix import DCMatrix, _norm_inf, _product, max_abs
+from .dcmatrix import DCMatrix, _gram_drift, _norm_inf, _product, max_abs
 from .complex_linalg import (
     Blocks,
     DEFAULT_CLUSTER_GAP,
@@ -50,7 +50,6 @@ from .errors import (
     TessarineError,
     VerificationFailed,
 )
-from .orthonormal import _gram_drift
 
 DEFAULT_RECON_TOL = 1e-7
 
@@ -164,6 +163,7 @@ class _PairAnalysis:
         self.ranks = tuple(map(len, (*level1[::-1], *self._ladder[1])))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
         self._jsvds: dict = {}  # recon_tol -> the verified JordanSVD or its refusal
+        self.root_blocks = ()  # J's blocks on the normalized pair, once built
 
     def jordan_svd(self, recon_tol: float) -> JordanSVD:
         """The verified ``JordanSVD`` of this pair, built once per recon_tol: a
@@ -411,15 +411,22 @@ def naive_dc_svd(
     (built once per pair, through its unitarity and reconstruction gates)
     is returned as (U, S, V).  A or B singular by the kernel ladder's
     ranks raises ``SingularComponent``, A first; a Jordan block of size
-    more than 1 raises ``NotDiagonalizable``.
+    more than 1 raises ``NotDiagonalizable``, at every scale of m: J's
+    blocks are read off the normalized pair, so they decide also where the
+    gates refuse the rescaled factors (``VerificationFailed``).
     """
     pa = _analysis(m, tol, cluster_gap)
     if pa.ranks[0] < m.n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
     if pa.ranks[1] < m.n:
         raise SingularComponent("diagonal factor D is singular; coupling fails")
-    jsvd = pa.jordan_svd(recon_tol)
-    if any(size > 1 for _, size in jsvd.blocks):
+    try:
+        jsvd = pa.jordan_svd(recon_tol)
+    except VerificationFailed:
+        if all(size == 1 for _, size in pa.root_blocks):
+            raise
+        jsvd = None
+    if jsvd is None or any(size > 1 for _, size in jsvd.blocks):
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
     return jsvd.u, jsvd.s, jsvd.v
 
@@ -481,6 +488,7 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
     b, a = pa.operands
     # J's zero blocks are the n - rank BA that the rank quadruple counts
     _, root_jf, p_inv = _sqrt_jordan(b @ a, pa.cluster_gap, pa.ranks[3])
+    pa.root_blocks = root_jf.blocks  # kept for a refusal by the gates below
     p, j = root_jf.p, root_jf.j
     j_pinv = _jordan_pinv(j)
 

@@ -58,3 +58,8 @@ class RetryExhausted(TessarineError):
 
 class BadProfile(TessarineError):
     """Unknown matrix-pair generation profile."""
+
+
+# the explorer's generation profiles, here so the CLI's help reads them
+# without loading the explorer
+PROFILES = ("dense", "ranks", "invertible", "jordan", "counterexample")

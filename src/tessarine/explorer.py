@@ -40,9 +40,9 @@ from .decompositions import (
     _analysis,
     _attempt_jordan_svd,
 )
-from .errors import BadProfile
+from .errors import PROFILES, BadProfile
+from .pairfile import _blocks_as_json
 
-PROFILES = ("dense", "ranks", "invertible", "jordan", "counterexample")
 MAX_N = 6
 
 
@@ -172,17 +172,18 @@ def rank_condition_pair(
 
     Generic rank-r factor products satisfy rank(AB) = rank(BA) = r; the
     draw is verified and repeated on the measure-zero degenerate cases.
+    ``r`` is in 0..n (r = 0 gives the zero pair), or None to draw it from
+    1..n; n >= 1, with no upper bound.  Other values raise ``BadProfile``:
+    no product of n x n factors has rank above n.
     """
+    if n < 1 or not (r is None or 0 <= r <= n):
+        raise BadProfile(f"need n >= 1 and r in 0..n or None, got n={n}, r={r}")
     while True:
         rr = int(rng.integers(1, n + 1)) if r is None else r
         m = DCMatrix(_rank_factored(rng, n, rr), _rank_factored(rng, n, rr))
         ok, ranks = pinv_exists(m)
         if ok and ranks[0] == rr:
             return m
-
-
-def _blocks_as_json(blocks) -> list:
-    return [[float(lam.real), float(lam.imag), int(size)] for lam, size in blocks]
 
 
 def run_trial(

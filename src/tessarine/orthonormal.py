@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcnum import DoubleComplex, sqrt_halfplane
-from .dcmatrix import max_abs
+from .dcmatrix import _gram_drift
 from .errors import DimensionMismatch, RetryExhausted, ZeroNorm
 
 ZERO_NORM_REL = 1e-9
@@ -108,15 +108,6 @@ def random_vector(d: int, rng: np.random.Generator) -> DCVector:
     """Full-support draw: every real coordinate i.i.d. standard normal."""
     parts = rng.standard_normal((4, d))
     return DCVector(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
-
-
-def _gram_drift(x: np.ndarray, y: np.ndarray) -> float:
-    """max |<s_i, s_k> - delta_ik| over the columns s_k = (x[:, k], y[k])
-    of a d x k pair [X, Y]: <s_i, s_k> = ((Y X)[i, k], (Y X)[k, i]), so
-    this is max |Y X - I|, I subtracted in place."""
-    g = y @ x
-    g.reshape(-1)[:: len(g) + 1] -= 1
-    return max_abs(g)
 
 
 def _check_orthonormal(s: list[DCVector], d: int, tol: float):

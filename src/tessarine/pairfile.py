@@ -90,6 +90,11 @@ def pair_to_obj(m: DCMatrix) -> dict:
     return {"n": m.n, "A": _array_to_grid(m.a), "B": _array_to_grid(m.b)}
 
 
+def _blocks_as_json(blocks) -> list:
+    """A canonical Jordan block list as [[re, im, size], ...]."""
+    return [[float(lam.real), float(lam.imag), int(size)] for lam, size in blocks]
+
+
 def obj_to_pair(obj) -> DCMatrix:
     if not isinstance(obj, dict):
         raise PairFormatError("document must be a JSON object")

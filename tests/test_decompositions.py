@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tessarine import complex_linalg, decompositions, explorer
-from tessarine.dcmatrix import DCMatrix, direct_sum, embed_complex, max_abs
+from tessarine.dcmatrix import DCMatrix, _gram_drift, direct_sum, embed_complex, max_abs
 from tessarine.dcnum import DEFAULT_TOL
 from tessarine.complex_linalg import (
     jordan_decomposition,
@@ -48,7 +48,6 @@ from tessarine.errors import (
     VerificationFailed,
 )
 from tessarine.explorer import rank_condition_pair, uniqueness_scan
-from tessarine.orthonormal import _gram_drift
 
 
 def crand(rng, n):
@@ -128,9 +127,12 @@ class TestNaiveSvd:
         assert np.allclose(v.a @ s.a @ np.linalg.inv(u.a), np.eye(2))
         assert (u @ s @ v.star()).approx_eq(m, 1e-9)
 
-    def test_defective_product_raises(self):
+    @pytest.mark.parametrize("k", [0, 700, -700, 1000, -1000])
+    def test_defective_product_raises(self, k):
+        # J's blocks are read before the gates, which refuse the rescaled
+        # factors at 2^+-700 and beyond: the refusal is the same at every scale
         with pytest.raises(NotDiagonalizable):
-            naive_dc_svd(DCMatrix(np.array([[1, 1], [0, 1]]), np.eye(2)))
+            naive_dc_svd(DCMatrix(2.0**k * np.array([[1, 1], [0, 1]]), 2.0**k * np.eye(2)))
 
     def test_singular_a_raises(self):
         with pytest.raises(SingularComponent):

@@ -79,6 +79,21 @@ class TestGeneratePair:
         ok, ranks = pinv_exists(m)
         assert ok and ranks == (4, 4, 4, 4)
 
+    def test_rank_zero_is_the_zero_pair(self):
+        m = rank_condition_pair(3, np.random.default_rng(0), r=0)
+        assert not m.a.any() and not m.b.any()
+        assert pinv_exists(m) == (True, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("n,r", [(3, 4), (3, -1), (0, None)], ids=["r>n", "r<0", "n0"])
+    def test_bad_arguments_rejected_before_drawing(self, n, r):
+        # no n x n factor product has rank above n, so the draw loop would not end
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before checking the arguments")
+
+        with pytest.raises(BadProfile):
+            rank_condition_pair(n, NoDraws(), r=r)
+
 
 class TestRunTrial:
     def test_determinism(self):
