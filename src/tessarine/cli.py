@@ -168,7 +168,7 @@ def cmd_explore(args) -> int:
     profiles = tuple(p.strip() for p in args.profile.split(",") if p.strip())
     try:
         # reject bad arguments before --out is opened (and truncated)
-        _check_scan_args(args.trials, profiles, args.n)
+        _check_scan_args(args.trials, profiles, args.n, args.seed)
         with open(args.out, "w", encoding="utf-8") as fh:
             def sink(rec):
                 fh.write(json.dumps(rec.as_dict()))

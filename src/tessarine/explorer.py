@@ -91,9 +91,154 @@ class ScanSummary:
 
 
 def trial_seed(base_seed: int, index: int) -> int:
-    """Stable per-trial seed derived from the scan seed."""
+    """Stable per-trial seed derived from the scan seed: the first uint64
+    word of ``SeedSequence(base_seed, spawn_key=(index,))``.  Trial
+    ``index`` of a scan draws from ``default_rng(trial_seed(seed, index))``,
+    which ``conjecture_scan`` builds without a ``SeedSequence`` per trial.
+    ``base_seed`` and ``index`` are non-negative integers."""
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) on uint32 words:
+# each entropy word is hashed into a pool of 4 words with the constants
+# INIT_A * MULT_A**k, the pool words are mixed with MIX_L and MIX_R, and the
+# state is read out with INIT_B * MULT_B**k.  The arithmetic is on uint32
+# arrays, which wrap mod 2**32 without a warning.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+# trials seeded per pass; a power of two dividing 2**32, so the indices of
+# one block have the same number of uint32 words
+_BLOCK = 1024
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as SeedSequence reads an int: little-endian uint32 words,
+    ``[0]`` for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for k in ``0..count``, a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashed(values, consts: np.ndarray) -> np.ndarray:
+    """Row i of ``values`` (broadcast against ``consts[:-1]``) hashed as
+    SeedSequence hashes a word: xor ``consts[i]``, times ``consts[i + 1]``."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = x * _MIX_L - y * _MIX_R
+    return values ^ values >> 16
+
+
+def _pool(entropy: list) -> np.ndarray:
+    """SeedSequence's pool for ``entropy``, a list of uint32 words, each a
+    1-d array of one value per row or a Python int for every row; one column
+    per row.  Every hash takes the next constant, so the hashes into the
+    pool words of one step are one array operation."""
+    head, extra = entropy[:_POOL], entropy[_POOL:]
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + len(extra)))
+    pool = np.zeros((_POOL, max(np.size(word) for word in head)), dtype=np.uint32)
+    for i, word in enumerate(head):  # short entropy hashes 0s
+        pool[i] = word
+    pool = _hashed(pool, consts[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # mix every word into every other word
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], consts[k:k + _POOL]))
+        k += _POOL - 1
+    for word in extra:  # mix each remaining word into every pool word
+        pool = _mixed(pool, _hashed(word, consts[k:k + _POOL + 1]))
+        k += _POOL
+    return pool
+
+
+def _uint64_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint64)`` of each column of a pool, one
+    row per column."""
+    count = 2 * n_words
+    state = _hashed(pool[np.arange(count) % _POOL], _hash_consts(_INIT_B, _MULT_B, count))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_seeds(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """``trial_seed(base_seed, t)`` for t in ``start..stop-1``, as uint64.
+    The indices must have the same number of uint32 words."""
+    run = _uint32_words(int(base_seed))
+    run += [0] * (_POOL - len(run))  # a spawned sequence pads its entropy
+    t = np.arange(start, stop, dtype=np.uint64)
+    spawn = [(t >> 32 * k & _MASK32).astype(np.uint32)
+             for k in range(len(_uint32_words(stop - 1)))]
+    return _uint64_state(_pool(run + spawn), 1)[:, 0]
+
+
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed
+    s: the words ``default_rng(s)`` seeds its PCG64 with, one row per seed.
+    A seed below 2**32 is one word; its zero high word hashes as the pool's
+    padding does, so one path serves both."""
+    # registered here, not at import, so importing the explorer loads no
+    # numpy.random: the first scan loads it, as default_rng did
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    lo = (seeds & _MASK32).astype(np.uint32)
+    hi = (seeds >> 32).astype(np.uint32)
+    return _uint64_state(_pool([lo, hi]), 4)
+
+
+def _trial_words(base_seed: int, trials: int):
+    """Yield ``(trial_seed(base_seed, t), words)`` for t in ``0..trials-1``,
+    seeded ``_BLOCK`` trials per pass; ``words`` are the PCG64 seed words of
+    ``default_rng`` of that seed."""
+    for start in range(0, trials, _BLOCK):
+        seeds = _trial_seeds(base_seed, start, min(start + _BLOCK, trials))
+        yield from zip(seeds.tolist(), _pcg64_words(seeds))
+
+
+class _SeedWords:
+    """Precomputed PCG64 seed words, handed to ``PCG64`` as its seed
+    sequence (``_pcg64_words`` registers the class as numpy's
+    ``ISeedSequence``): ``Generator(PCG64(_SeedWords(w)))`` starts where
+    ``default_rng(s)`` does when ``w`` is ``_pcg64_words`` of s."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds the 4 uint64 words a PCG64 asks for")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator of a row of ``_pcg64_words``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ``BadProfile`` unless ``value`` is a non-negative integer, a
+    Python or numpy one."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise BadProfile(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _check_n(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_N:
+        raise BadProfile(f"n must be an integer in 1..{MAX_N}, got {n!r}")
 
 
 def _random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -120,8 +265,7 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
     counterexample   embeds the diag(0,1) / nilpotent-shift structure
                      whose BA has no square root.
     """
-    if n < 1 or n > MAX_N:
-        raise BadProfile(f"n must be in 1..{MAX_N}, got {n}")
+    _check_n(n)
     if profile == "dense":
         return DCMatrix(_random_complex(rng, n, n), _random_complex(rng, n, n))
     if profile == "ranks":
@@ -193,7 +337,9 @@ def run_trial(
     tol: float = DEFAULT_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> TrialRecord:
-    """Run one reproducible trial: generate, test similarity, try the JSVD."""
+    """Run one reproducible trial: generate, test similarity, try the JSVD.
+    ``seed`` is a non-negative integer, else ``BadProfile`` is raised."""
+    _check_count("seed", seed)
     return _run_trial(np.random.default_rng(seed), seed, profile, n, tol, cluster_gap)
 
 
@@ -232,17 +378,18 @@ def _run_trial(
     )
 
 
-def _check_scan_args(trials: int, profiles: tuple[str, ...], n_max: int) -> None:
+def _check_scan_args(
+    trials: int, profiles: tuple[str, ...], n_max: int, seed: int
+) -> None:
     """Raise ``BadProfile`` unless ``conjecture_scan`` accepts these arguments."""
-    if trials < 0:
-        raise BadProfile(f"trials must be non-negative, got {trials}")
+    _check_count("trials", trials)
+    _check_count("seed", seed)
     if not profiles:
         raise BadProfile(f"no profile given; choose from {PROFILES}")
     for p in profiles:
         if p not in PROFILES:
             raise BadProfile(f"unknown profile {p!r}; choose from {PROFILES}")
-    if n_max < 1 or n_max > MAX_N:
-        raise BadProfile(f"n must be in 1..{MAX_N}, got {n_max}")
+    _check_n(n_max)
 
 
 def conjecture_scan(
@@ -260,23 +407,24 @@ def conjecture_scan(
     status; similarity is always decided, so the summary's ``errors``
     count stays 0.  ``sink``, if given, is called with each record as it
     is produced.
+    Trial t draws from ``default_rng(trial_seed(seed, t))``: ``n`` is its
+    first draw, and the pair is what ``run_trial`` of that seed, the
+    profile and ``n`` draws.  The seeds and the generators' PCG64 seed
+    words are computed a block of trials at a time, following
+    ``SeedSequence``'s mixing, so no trial builds a ``SeedSequence``.
     Bad arguments raise ``BadProfile`` before the first trial.
     """
-    _check_scan_args(trials, profiles, n_max)
+    _check_scan_args(trials, profiles, n_max, seed)
     records: list[TrialRecord] = []
     summary = ScanSummary()
-    for t in range(trials):
+    for t, (seed_t, words) in enumerate(_trial_words(seed, trials)):
         profile = profiles[t % len(profiles)]
-        seed_t = trial_seed(seed, t)
-        # one generator per trial: n is its first draw, then it is put back
-        # in its initial state, the one run_trial(seed_t, ...) starts from
-        rng = np.random.default_rng(seed_t)
-        start = rng.bit_generator.state
-        n = int(rng.integers(1, n_max + 1))
-        rng.bit_generator.state = start
+        # n is the first draw of default_rng(seed_t), and the pair is drawn
+        # by a second generator in the state run_trial(seed_t, ...) starts from
+        n = int(_generator(words).integers(1, n_max + 1))
         if profile == "counterexample":
             n = max(n, 2)
-        rec = _run_trial(rng, seed_t, profile, n, tol, cluster_gap)
+        rec = _run_trial(_generator(words), seed_t, profile, n, tol, cluster_gap)
         records.append(rec)
         if sink is not None:
             sink(rec)
@@ -319,8 +467,11 @@ def uniqueness_scan(
     compared as ``similar`` compares them: eigenvalue groups match within
     cluster_gap * |m|, which scales with J as m does, and an eigenvalue
     of J within that distance of two groups of a repetition raises
-    ``ClusterAmbiguity``.
+    ``ClusterAmbiguity``.  ``repetitions`` and ``seed`` are non-negative
+    integers, else ``BadProfile`` is raised.
     """
+    _check_count("repetitions", repetitions)
+    _check_count("seed", seed)
     base = jordan_svd(m, tol, cluster_gap=cluster_gap)
     match_tol = cluster_gap * m.norm_inf()
     witnesses = []

@@ -453,7 +453,7 @@ class TestExploreCommand:
         previous = b'{"seed": 1, "n": 2}\n'
         for flags in (["--profile", "bogus"], ["--profile", ","],
                       ["--n", "0"], ["--n", "-1"], ["--n", "7"],
-                      ["--trials", "-3"]):
+                      ["--trials", "-3"], ["--seed", "-1"]):
             out = tmp_path / "x.ndjson"
             out.write_bytes(previous)
             code = main(["explore", "--trials", "40", *flags, "--out", str(out)])

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,16 @@ class TestGeneratePair:
 
 
 class TestRunTrial:
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.int32(-4)])
+    def test_bad_seed(self, seed):
+        with pytest.raises(BadProfile):
+            run_trial(seed, "dense", 3)
+
+    @pytest.mark.parametrize("n", [0, 2.0, MAX_N + 1])
+    def test_bad_n(self, n):
+        with pytest.raises(BadProfile):
+            run_trial(5, "dense", n)
+
     def test_determinism(self):
         seed = trial_seed(42, 7)
         a = run_trial(seed, "dense", 4)
@@ -224,6 +238,101 @@ class TestConjectureScan:
             conjecture_scan(40, profiles, n_max, sink=seen.append)
         assert seen == []
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": -1}, {"seed": 1.5}, {"seed": np.int64(-1)}, {"seed": "3"},
+         {"trials": 1.5}, {"trials": -1}, {"n_max": 2.5}],
+        ids=["seed-1", "seed1.5", "np-seed-1", "seed-str", "trials1.5", "trials-1",
+             "n2.5"],
+    )
+    def test_bad_counts_rejected_before_first_trial(self, kwargs):
+        seen = []
+        with pytest.raises(BadProfile):
+            conjecture_scan(**{"trials": 3, "seed": 0, **kwargs}, sink=seen.append)
+        assert seen == []
+
+    def test_numpy_integer_arguments(self):
+        records, _ = conjecture_scan(np.int64(12), n_max=np.uint8(3), seed=np.uint64(2**40 + 3))
+        assert [r.as_dict() for r in records] == [
+            r.as_dict() for r in conjecture_scan(12, n_max=3, seed=2**40 + 3)[0]
+        ]
+
+    def test_prefix_of_a_longer_scan(self):
+        # the seeding runs in blocks of _BLOCK trials: a scan that ends inside
+        # a block records what the first trials of a longer scan record
+        k = explorer._BLOCK - 3
+        short, _ = conjecture_scan(k, ("counterexample", "dense"), n_max=2, seed=77)
+        long, _ = conjecture_scan(k + 8, ("counterexample", "dense"), n_max=2, seed=77)
+        assert [r.as_dict() for r in short] == [r.as_dict() for r in long[:k]]
+
+    def test_scan_builds_no_seed_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial seeded through SeedSequence")
+
+        expected = [r.as_dict() for r in conjecture_scan(25, PROFILES, seed=4)[0]]
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(explorer, "trial_seed", refuse)
+        assert [r.as_dict() for r in conjecture_scan(25, PROFILES, seed=4)[0]] == expected
+
+    def test_short_scans_raise_no_warning(self):
+        # the seed hashes wrap uint32 products: under -X dev -W error a
+        # numpy scalar product would raise its overflow warning.  Importing
+        # the explorer leaves numpy.random to the first scan.
+        code = (
+            "import sys\n"
+            "from tessarine.explorer import PROFILES, conjecture_scan\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "for trials in (0, 1):\n"
+            "    for seed in (0, 2**32 - 1, 2**130 + 9):\n"
+            "        conjecture_scan(trials, PROFILES, seed=seed)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
+class TestTrialSeeding:
+    """The scan's vectorized seeding against numpy's SeedSequence."""
+
+    BASES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**130 + 9]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_seeds_and_words_across_a_block(self, base):
+        # trials _BLOCK - 2 .. _BLOCK + 1 are seeded by two passes
+        pairs = list(explorer._trial_words(base, explorer._BLOCK + 2))
+        assert len(pairs) == explorer._BLOCK + 2
+        for t in [0, 1, 2, *range(explorer._BLOCK - 2, explorer._BLOCK + 2)]:
+            seed_t, words = pairs[t]
+            ss = np.random.SeedSequence(entropy=base, spawn_key=(t,))
+            assert seed_t == int(ss.generate_state(1, np.uint64)[0]) == trial_seed(base, t)
+            expected = np.random.SeedSequence(seed_t).generate_state(4, np.uint64)
+            assert words.dtype == np.uint64 and np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_two_word_indices(self, base):
+        for start, stop in [(2**32 - 2, 2**32), (2**32, 2**32 + 2)]:
+            expected = [trial_seed(base, t) for t in range(start, stop)]
+            assert explorer._trial_seeds(base, start, stop).tolist() == expected
+
+    @pytest.mark.parametrize("seed_t", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_pcg64_words(self, seed_t):
+        # seeds below 2**32 are one word of SeedSequence entropy, others two
+        words = explorer._pcg64_words(np.array([seed_t], dtype=np.uint64))[0]
+        expected = np.random.SeedSequence(seed_t).generate_state(4, np.uint64)
+        assert np.array_equal(words, expected)
+
+    def test_generators_match_default_rng(self):
+        for seed_t, words in explorer._trial_words(2**130 + 9, 20):
+            rng, oracle = explorer._generator(words), np.random.default_rng(seed_t)
+            assert rng.integers(1, 7) == oracle.integers(1, 7)
+            assert np.array_equal(rng.standard_normal(5), oracle.standard_normal(5))
+
 
 class TestUniqueness:
     def test_invertible_stable(self):
@@ -256,3 +365,13 @@ class TestUniqueness:
         m = rank_condition_pair(4, rng, r=2)
         verdict = uniqueness_scan(m, repetitions=5, seed=2)
         assert verdict.verdict == "stable_j"
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": -1}, {"seed": 0.5}, {"repetitions": -1}, {"repetitions": 2.0}],
+        ids=["seed-1", "seed0.5", "repetitions-1", "repetitions2.0"],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        m = DCMatrix(np.eye(2), np.diag([1.0, 2.0]))
+        with pytest.raises(BadProfile):
+            uniqueness_scan(m, **kwargs)
