@@ -21,6 +21,7 @@ from .decompositions import (
     naive_dc_svd,
     penrose_check,
     pinv,
+    _pinv_residual,
     _verified_polar,
 )
 from .errors import PROFILES, NoPseudoinverse, TessarineError
@@ -111,7 +112,7 @@ def _polar(m, args) -> tuple[int, dict]:
     jsvd, report = attempt_jordan_svd(m, **_tolerances(args))
     if jsvd is None:
         return _refusal(report)
-    pd, residual = _verified_polar(jsvd, m, args.recon_tol)
+    pd, residual = _verified_polar(jsvd, m, args.recon_tol, m.norm_inf())
     return EXIT_OK, {
         "residual": residual,
         "unitary_factor": pair_to_obj(pd.unitary_factor),
@@ -123,7 +124,7 @@ def _pinv(m, args) -> tuple[int, dict]:
     k = pinv(m, **_tolerances(args))
     return EXIT_OK, {
         "penrose_axioms": list(penrose_check(m, k, args.recon_tol)),
-        "residual": (m @ k @ m - m).norm_inf(),
+        "residual": _pinv_residual(m, k),
         "pinv": pair_to_obj(k),
     }
 

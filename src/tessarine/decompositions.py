@@ -143,7 +143,8 @@ class _PairAnalysis:
     outside the rank condition need, by ``words``.  It runs on the
     ``_normalized`` pair, which raises ``NonFiniteInput``; a stacked LAPACK
     call gives each matrix the bits of its own call.  ``scale`` is the pair's
-    max modulus, read once here for the Jordan SVD's residual gate.
+    max modulus, read once here for the Jordan SVD's residual gate.  Its
+    factors are built once (``jordan_factors``), and gated once per recon_tol.
     """
 
     def __init__(
@@ -162,23 +163,30 @@ class _PairAnalysis:
         self._ladder = [level1, self._next_level(level1, (m.n, m.n))]
         self.ranks = tuple(map(len, (*level1[::-1], *self._ladder[1])))  # A, B, AB, BA
         self.pinv_exists = len(set(self.ranks)) == 1
-        self._jsvds: dict = {}  # recon_tol -> the verified JordanSVD or its refusal
-        self.root_blocks = ()  # J's blocks on the normalized pair, once built
+        self._built: dict = {}  # (build, *args) -> its result or refusal
+
+    def _once(self, build, *args):
+        """build(self, *args), called once per build and args: a refusal is
+        remembered too and raised again with its type and message."""
+        key = build, *args
+        if key not in self._built:
+            try:
+                self._built[key] = build(self, *args)
+            except TessarineError as ex:
+                self._built[key] = type(ex)(*ex.args)  # kept without its traceback
+                raise
+        found = self._built[key]
+        if isinstance(found, TessarineError):
+            raise type(found)(*found.args)
+        return found
+
+    def jordan_factors(self) -> tuple:
+        """``_jordan_factors`` of this pair, built once."""
+        return self._once(_jordan_factors)
 
     def jordan_svd(self, recon_tol: float) -> JordanSVD:
-        """The verified ``JordanSVD`` of this pair, built once per recon_tol: a
-        refusal is remembered too and raised again with its type and message."""
-        if recon_tol not in self._jsvds:
-            try:
-                self._jsvds[recon_tol] = _jordan_svd(self, recon_tol)
-            except TessarineError as ex:
-                self._jsvds[recon_tol] = type(ex), ex.args
-                raise
-        found = self._jsvds[recon_tol]
-        if not isinstance(found, JordanSVD):
-            error, args = found
-            raise error(*args)
-        return found
+        """The verified ``JordanSVD`` of this pair, gated once per recon_tol."""
+        return self._once(_jordan_svd, recon_tol)
 
     def _next_level(self, rows, prev) -> list:
         """Complement rows of each side's next kernel from this level's, which
@@ -266,16 +274,14 @@ def _analysis(
 
 
 def _verified_residual(
-    what: str, approx, target, recon_tol: float, scale: float | None = None
+    what: str, approx, target, recon_tol: float, scale: float
 ) -> float:
     """max-modulus residual of approx against target, both component pairs
     (A, B), or ``VerificationFailed`` unless it is at most recon_tol times
-    the finite scale of target: ``(approx - target).norm_inf()`` of the
-    DCMatrix algebra, with no DCMatrix built.  ``scale`` is
-    ``_norm_inf(*target)`` where the caller knows it."""
+    the finite ``scale`` of target, ``_norm_inf(*target)``:
+    ``(approx - target).norm_inf()`` of the DCMatrix algebra, with no
+    DCMatrix built."""
     residual = _norm_inf(approx[0] - target[0], approx[1] - target[1])
-    if scale is None:
-        scale = _norm_inf(*target)
     if not residual <= recon_tol * scale < math.inf:
         raise VerificationFailed(
             f"{what} residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
@@ -284,14 +290,14 @@ def _verified_residual(
 
 
 def _accepted(
-    what: str, u, j, v, blocks, target, recon_tol: float, scale: float | None = None
+    what: str, u, j, v, blocks, target, recon_tol: float, scale: float
 ) -> JordanSVD:
     """The Jordan SVD U [J, J] V* of target, all component pairs, once U is
     unitary (|Y X - I| <= recon_tol for U = [X, Y]) and the reconstruction
-    passes ``_verified_residual`` (at target's ``scale`` where known), both
-    on the factors returned; else ``VerificationFailed``, the unitarity
-    check first.  Both are formed at target's scale: one that overflows is
-    non-finite, and refused."""
+    passes ``_verified_residual`` at target's ``scale``, both on the factors
+    returned; else ``VerificationFailed``, the unitarity check first.  Both
+    are formed at target's scale: one that overflows is non-finite, and
+    refused."""
     s = j, j
     with np.errstate(over="ignore", invalid="ignore"):
         drift = _gram_drift(*u)
@@ -336,14 +342,8 @@ def _sizes_admit_sqrt(sizes: list[int]) -> bool:
     With the sizes largest first, consecutive pairs may differ by at most
     one and a final unpaired block must have size 1.
     """
-    i = 0
-    while i + 1 < len(sizes):
-        if sizes[i] - sizes[i + 1] > 1:
-            return False
-        i += 2
-    if len(sizes) % 2 == 1 and sizes[-1] != 1:
-        return False
-    return True
+    paired = all(a - b <= 1 for a, b in zip(sizes[::2], sizes[1::2]))
+    return paired and (len(sizes) % 2 == 0 or sizes[-1] == 1)
 
 
 def jsvd_necessary(m: DCMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, bool, bool]:
@@ -376,6 +376,14 @@ def penrose_check(
         raise DimensionMismatch(f"dimension mismatch: {m.n} vs {k.n}")
     ab, ea, eb = _normalized(m)
     return _penrose(ab, np.array((_pow2(k.a, ea), _pow2(k.b, eb))), tol)
+
+
+def _pinv_residual(m: DCMatrix, k: DCMatrix) -> float:
+    """(m @ k @ m - m).norm_inf() in the DCMatrix algebra's order, formed on the
+    ``_normalized`` pair and rescaled exactly, so no product overflows."""
+    (a, b), ea, eb = _normalized(m)
+    c, d = _pow2(k.a, ea), _pow2(k.b, eb)
+    return _norm_inf((a @ c @ a - a) * 2.0**ea, (b @ (d @ b) - b) * 2.0**eb)
 
 
 def _penrose(
@@ -411,23 +419,17 @@ def naive_dc_svd(
     (built once per pair, through its unitarity and reconstruction gates)
     is returned as (U, S, V).  A or B singular by the kernel ladder's
     ranks raises ``SingularComponent``, A first; a Jordan block of size
-    more than 1 raises ``NotDiagonalizable``, at every scale of m: J's
-    blocks are read off the normalized pair, so they decide also where the
-    gates refuse the rescaled factors (``VerificationFailed``).
+    more than 1, ``NotDiagonalizable`` at every scale of m: J's blocks are
+    read off the pair's normalized build before the gates run.
     """
     pa = _analysis(m, tol, cluster_gap)
     if pa.ranks[0] < m.n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
     if pa.ranks[1] < m.n:
         raise SingularComponent("diagonal factor D is singular; coupling fails")
-    try:
-        jsvd = pa.jordan_svd(recon_tol)
-    except VerificationFailed:
-        if all(size == 1 for _, size in pa.root_blocks):
-            raise
-        jsvd = None
-    if jsvd is None or any(size > 1 for _, size in jsvd.blocks):
+    if any(size > 1 for _, size in pa.jordan_factors()[0]):
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
+    jsvd = pa.jordan_svd(recon_tol)
     return jsvd.u, jsvd.s, jsvd.v
 
 
@@ -481,14 +483,12 @@ def jordan_svd(
     return pa.jordan_svd(recon_tol)
 
 
-def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
-    """``jordan_svd`` of a pair meeting the rank condition, built on the
-    ``_normalized`` pair and rescaled by exact powers of two: J by 2^c,
-    c = (ea + eb) / 2, P and X by ``_rescaled``, X by 2^((ea - eb) / 2)."""
+def _jordan_factors(pa: _PairAnalysis) -> tuple:
+    """Jordan SVD factors of the ``_normalized`` pair of one meeting the rank
+    condition: J's blocks, J, J+, P, P^-1, X and Y = X^-1 or None."""
     b, a = pa.operands
     # J's zero blocks are the n - rank BA that the rank quadruple counts
     _, root_jf, p_inv = _sqrt_jordan(b @ a, pa.cluster_gap, pa.ranks[3])
-    pa.root_blocks = root_jf.blocks  # kept for a refusal by the gates below
     p, j = root_jf.p, root_jf.j
     j_pinv = _jordan_pinv(j)
 
@@ -500,9 +500,18 @@ def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
     try:
         y = _inv(x)
     except np.linalg.LinAlgError:
-        raise VerificationFailed("U is not unitary: X is singular") from None
+        y = None  # refused by _jordan_svd: the blocks stay readable
+    return root_jf.blocks, j, j_pinv, p, p_inv, x, y
 
-    blocks, j, d = _rescaled(root_jf.blocks, j, (pa.ea + pa.eb) // 2)
+
+def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
+    """``jordan_svd`` of a pair meeting the rank condition: the pair's
+    ``jordan_factors`` rescaled by exact powers of two, J by 2^c,
+    c = (ea + eb) / 2, P and X by ``_rescaled``, X by 2^((ea - eb) / 2)."""
+    blocks, j, _, p, p_inv, x, y = pa.jordan_factors()
+    if y is None:
+        raise VerificationFailed("U is not unitary: X is singular")
+    blocks, j, d = _rescaled(blocks, j, (pa.ea + pa.eb) // 2)
     dx = d + (pa.ea - pa.eb) // 2
     u = _pow2(x, dx), _pow2(y.T, -dx).T  # Y's rows scale inversely
     v = _pow2(p, d), _pow2(p_inv.T, -d).T
@@ -569,7 +578,8 @@ def polar_to_jsvd(
     with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
         u = _product(uf, (z * e, e.T * z_inv))  # W^-1 = E Z^-1
         target, jt = _product(uf, hf), jordan_matrix(blocks)
-        return _accepted("polar-to-JSVD", u, jt, (z, z_inv), blocks, target, recon_tol)
+        scale = _norm_inf(*target)
+        return _accepted("polar-to-JSVD", u, jt, (z, z_inv), blocks, target, recon_tol, scale)
 
 
 def hermitian_jsvd(
@@ -600,10 +610,10 @@ def jsvd_to_polar(jsvd: JordanSVD) -> PolarDecomposition:
 
 
 def _verified_polar(
-    jsvd: JordanSVD, m: DCMatrix, recon_tol: float, scale: float | None = None
+    jsvd: JordanSVD, m: DCMatrix, recon_tol: float, scale: float
 ) -> tuple[PolarDecomposition, float]:
     """``jsvd_to_polar`` of a Jordan SVD of m, with its residual against m
-    checked by the polar gate (at m's ``scale`` where known)."""
+    checked by the polar gate at m's ``scale``."""
     pd = jsvd_to_polar(jsvd)
     uf, hf = pd.unitary_factor, pd.hermitian_factor
     uh = _product((uf.a, uf.b), (hf.a, hf.b))
@@ -641,28 +651,23 @@ def pinv(
     recon_tol: float = DEFAULT_RECON_TOL,
     cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> DCMatrix:
-    """Moore-Penrose pseudoinverse V [J+, J+] U*, read off the verified factors
-    of the pair's Jordan SVD and checked against the Penrose axioms.  ``rng``
-    is accepted for compatibility and ignored.
+    """Moore-Penrose pseudoinverse V [J+, J+] U* of the pair's Jordan SVD,
+    checked against the Penrose axioms.  ``rng`` is accepted for
+    compatibility and ignored.
 
-    K is formed and checked on the normalized pair's factors, which undo
-    ``_jordan_svd``'s exact power-of-two rescales, and is rescaled once on the
-    way out, so a K near the ends of the range is formed without overflow; a
-    K that leaves the range raises ``VerificationFailed``, while entries below
-    the normal range are kept rounded, as the pair's own entries may be."""
+    Once the rescaled factors have passed the Jordan SVD's gates, K is formed
+    and checked on the normalized pair's build, J+ included, and is rescaled
+    once on the way out, so a K near the ends of the range is formed without
+    overflow; one that leaves the range raises ``VerificationFailed``, while
+    entries below the normal range are kept rounded, as m's own may be."""
     pa = _analysis(m, tol, cluster_gap)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    jsvd = pa.jordan_svd(recon_tol)
-    # _jordan_svd's exponents, negated: J by 2^-c, and d undoes P's columns'
-    c, dx = (pa.ea + pa.eb) // 2, (pa.ea - pa.eb) // 2
-    _, j, d = _rescaled(jsvd.blocks, jsvd.s.a, -c)
-    x, y = _pow2(jsvd.u.a, d - dx), _pow2(jsvd.u.b.T, dx - d).T
-    p, p_inv = _pow2(jsvd.v.a, d), _pow2(jsvd.v.b.T, -d).T
+    pa.jordan_svd(recon_tol)  # the factors pass the gates at m's scale first
+    _, _, j_pinv, p, p_inv, x, y = pa.jordan_factors()
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        j_pinv = _jordan_pinv(j)
         cd = np.array((p @ j_pinv @ y, x @ (j_pinv @ p_inv)))
     k = _unnormalized(cd, pa)
     axioms = _penrose(pa.ab, cd, recon_tol)

@@ -40,7 +40,7 @@ from .decompositions import (
     _analysis,
     _attempt_jordan_svd,
 )
-from .errors import PROFILES, BadProfile
+from .errors import PROFILES, BadProfile, VerificationFailed
 from .pairfile import _blocks_as_json
 
 MAX_N = 6
@@ -468,7 +468,8 @@ def uniqueness_scan(
     cluster_gap * |m|, which scales with J as m does, and an eigenvalue
     of J within that distance of two groups of a repetition raises
     ``ClusterAmbiguity``.  ``repetitions`` and ``seed`` are non-negative
-    integers, else ``BadProfile`` is raised.
+    integers, else ``BadProfile`` is raised; a gauge that leaves the double
+    range, ``VerificationFailed`` naming the repetition and its replay seed.
     """
     _check_count("repetitions", repetitions)
     _check_count("seed", seed)
@@ -496,11 +497,12 @@ def uniqueness_scan(
         rng = np.random.default_rng(rep_seed)
         x = _well_conditioned(rng, m.n)
         y = _well_conditioned(rng, m.n)
-        gauge = (
-            DCMatrix(x, _inv(x))
-            @ m
-            @ DCMatrix(y, _inv(y)).star()
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            gauge = DCMatrix(x, _inv(x)) @ m @ DCMatrix(y, _inv(y)).star()
+        if not np.isfinite(gauge.norm_inf()):
+            raise VerificationFailed(
+                f"repetition {rep}'s gauge leaves the range (replay seed {rep_seed})"
+            )
         alt = jordan_svd(gauge, tol, cluster_gap=cluster_gap)
         compare(rep, alt.blocks, "unitary_gauge", rep_seed)
 

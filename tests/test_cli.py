@@ -10,6 +10,7 @@ from tessarine.cli import main
 from tessarine.complex_linalg import jordan_matrix
 from tessarine.dcmatrix import DCMatrix
 from tessarine.decompositions import PolarDecomposition, pinv
+from tessarine.explorer import rank_condition_pair
 from tessarine.pairfile import (
     PairFormatError,
     load_pair,
@@ -206,6 +207,32 @@ class TestPinvCommand:
         assert code == 0
         assert doc["penrose_axioms"] == [True] * 4
         assert doc["pinv"] == pair_to_obj(DCMatrix([[1e-200]], [[1e-200]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_top_of_range_residual_is_finite(self, tmp_path, capsys):
+        # m k m overflows at the pair's own scale, 1.7e308: the residual is
+        # formed on the normalized pair, so the document is valid JSON
+        rng = np.random.default_rng(12)
+        m0 = rank_condition_pair(int(rng.integers(2, 6)), rng)
+        s = 1.7e308 / m0.norm_inf()
+        path = tmp_path / "top.json"
+        m = write_pair(path, s * m0.a, s * m0.b)
+        code, doc = run_cli(capsys, "pinv", str(path))
+        assert code == 0
+        assert doc["penrose_axioms"] == [True] * 4
+        assert doc["residual"] <= 1e-8 * m.norm_inf()
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1e-150])
+    def test_residual_has_the_algebra_s_bits(self, tmp_path, capsys, seed, s):
+        # inside the normal range the residual has the bits of m @ k @ m - m
+        _, m = invertible_file(tmp_path, seed, n=4)
+        path = tmp_path / "scaled.json"
+        m = write_pair(path, s * m.a, s * m.b)
+        code, doc = run_cli(capsys, "pinv", str(path))
+        assert code == 0
+        k = obj_to_pair(doc["pinv"])
+        assert doc["residual"] == (m @ k @ m - m).norm_inf()
 
 
 class TestJsvdCommand:

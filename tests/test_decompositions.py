@@ -134,6 +134,16 @@ class TestNaiveSvd:
         with pytest.raises(NotDiagonalizable):
             naive_dc_svd(DCMatrix(2.0**k * np.array([[1, 1], [0, 1]]), 2.0**k * np.eye(2)))
 
+    def test_defective_product_raises_where_x_is_singular(self, monkeypatch):
+        # X = 0: the Jordan SVD refuses it, but J's blocks are read first
+        monkeypatch.setattr(decompositions, "_last", None)
+        monkeypatch.setattr(decompositions, "_jordan_pinv", lambda j: np.zeros_like(j))
+        m = DCMatrix(np.array([[1, 1], [0, 1]]), np.eye(2))
+        with pytest.raises(NotDiagonalizable):
+            naive_dc_svd(m)
+        with pytest.raises(VerificationFailed, match="X is singular"):
+            jordan_svd(m)
+
     def test_singular_a_raises(self):
         with pytest.raises(SingularComponent):
             naive_dc_svd(DCMatrix(np.diag([0.0, 1.0]), np.eye(2)))
@@ -1484,6 +1494,12 @@ class TestPairAnalysedOnce:
         naive_dc_svd(m)
         assert counts == {"jordan": 0, "svd": 0, "inv": 0}
 
+    def test_pinv_inverts_j_once(self, counts):
+        # J = J_2(1) + [3] is defective: J+ is inverted once, by the build,
+        # and read from it by pinv; P^-1 from the builder's gate, X by _inv
+        pinv(DCMatrix(np.eye(3), _DEFECTIVE))
+        assert (counts["jordan"], counts["inv"]) == (1, 3)
+
     def test_naive_svd_is_the_jordan_svd(self, monkeypatch):
         # an invertible pair with a diagonalizable BA: built afresh, the naive
         # SVD's factors are the Jordan SVD's, bit for bit
@@ -1617,7 +1633,7 @@ class TestGatesOnComponents:
 
     def test_polar_factors_and_residual(self, m):
         jsvd = jordan_svd(m)
-        pd, residual = decompositions._verified_polar(jsvd, m, DEFAULT_RECON_TOL)
+        pd, residual = decompositions._verified_polar(jsvd, m, DEFAULT_RECON_TOL, m.norm_inf())
         assert _same(pd.unitary_factor, jsvd.u @ jsvd.v.star())
         assert _same(pd.hermitian_factor, jsvd.v @ jsvd.s @ jsvd.v.star())
         assert residual == (pd.reconstruct() - m).norm_inf()
@@ -1653,7 +1669,9 @@ class TestGatesOnComponents:
         approx = [m.a.copy(), m.b.copy()]
         approx[side][0, 0] = np.nan
         with pytest.raises(VerificationFailed, match="residual nan"):
-            decompositions._verified_residual("test", approx, target, DEFAULT_RECON_TOL)
+            decompositions._verified_residual(
+                "test", approx, target, DEFAULT_RECON_TOL, m.norm_inf()
+            )
         k = pinv(m)
         parts = [k.a.copy(), k.b.copy()]
         parts[side][0, 0] = np.nan

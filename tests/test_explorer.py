@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from tessarine.decompositions import (
     pinv_exists,
     rank_quadruple,
 )
-from tessarine.errors import BadProfile
+from tessarine.errors import BadProfile, VerificationFailed
 from tessarine.explorer import (
     MAX_N,
     PROFILES,
@@ -365,6 +366,17 @@ class TestUniqueness:
         m = rank_condition_pair(4, rng, r=2)
         verdict = uniqueness_scan(m, repetitions=5, seed=2)
         assert verdict.verdict == "stable_j"
+
+    @pytest.mark.filterwarnings("error")
+    def test_gauge_leaving_the_range_is_refused(self):
+        # at 1.7e308 the gauged pair overflows: refused quietly, with the
+        # repetition and its replay seed, not blamed on the finite input
+        rng = np.random.default_rng(12)
+        m = rank_condition_pair(int(rng.integers(2, 6)), rng)
+        s = 1.7e308 / m.norm_inf()
+        want = f"repetition 1's gauge leaves the range (replay seed {trial_seed(0, 1)})"
+        with pytest.raises(VerificationFailed, match=re.escape(want)):
+            uniqueness_scan(DCMatrix(s * m.a, s * m.b), repetitions=4)
 
     @pytest.mark.parametrize(
         "kwargs",
