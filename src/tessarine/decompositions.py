@@ -143,14 +143,14 @@ class _PairAnalysis:
     outside the rank condition need, by ``words``.  It runs on the
     ``_normalized`` pair, which raises ``NonFiniteInput``; a stacked LAPACK
     call gives each matrix the bits of its own call.  ``scale`` is the pair's
-    max modulus, read once here for the Jordan SVD's residual gate.  Its
-    factors are built once (``jordan_factors``), and gated once per recon_tol.
+    max modulus, read once here for the Jordan SVD's residual gate.  Nothing
+    here reads an eigenvalue-clustering gap: only the Jordan SVD's factors
+    do, built once per cluster_gap (``jordan_factors``) and gated once per
+    recon_tol and cluster_gap.
     """
 
-    def __init__(
-        self, m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
-    ):
-        self.m, self.tol, self.cluster_gap = m, tol, cluster_gap
+    def __init__(self, m: DCMatrix, tol: float):
+        self.m, self.tol = m, tol
         big = max_abs(m.a), max_abs(m.b)
         self.ab, self.ea, self.eb = _normalized(m, big)
         self.scale = max(big)
@@ -180,13 +180,14 @@ class _PairAnalysis:
             raise type(found)(*found.args)
         return found
 
-    def jordan_factors(self) -> tuple:
-        """``_jordan_factors`` of this pair, built once."""
-        return self._once(_jordan_factors)
+    def jordan_factors(self, cluster_gap: float) -> tuple:
+        """``_jordan_factors`` of this pair, built once per cluster_gap."""
+        return self._once(_jordan_factors, cluster_gap)
 
-    def jordan_svd(self, recon_tol: float) -> JordanSVD:
-        """The verified ``JordanSVD`` of this pair, gated once per recon_tol."""
-        return self._once(_jordan_svd, recon_tol)
+    def jordan_svd(self, recon_tol: float, cluster_gap: float) -> JordanSVD:
+        """The verified ``JordanSVD`` of this pair, gated once per recon_tol
+        and cluster_gap."""
+        return self._once(_jordan_svd, recon_tol, cluster_gap)
 
     def _next_level(self, rows, prev) -> list:
         """Complement rows of each side's next kernel from this level's, which
@@ -247,23 +248,23 @@ class _PairAnalysis:
 _last: tuple[tuple, _PairAnalysis] | None = None
 
 
-def _analysis(
-    m: DCMatrix, tol: float, cluster_gap: float = DEFAULT_CLUSTER_GAP
-) -> _PairAnalysis:
+def _analysis(m: DCMatrix, tol: float) -> _PairAnalysis:
     """The analysis of m, kept in a one-slot memo of the last pair analysed.
 
-    The key is the pair's content (``tobytes``), not its identity: a
-    DCMatrix may wrap a view of an array that is still writable.  A hit
-    takes m as the analysis' pair, so what is built from it later reads
-    the content the key was made of.
+    The key is the pair's content (``tobytes``) and tol, not the pair's
+    identity: a DCMatrix may wrap a view of an array that is still
+    writable.  A hit takes m as the analysis' pair, so what is built from
+    it later reads the content the key was made of.  No cluster_gap is in
+    the key: a call at another gap shares the analysis and adds its own
+    Jordan SVD build to it.
     """
     global _last
-    key, last = (m.a.tobytes(), m.b.tobytes(), tol, cluster_gap), _last
+    key, last = (m.a.tobytes(), m.b.tobytes(), tol), _last
     if last is not None and last[0] == key:  # one read: another thread may refill
         pa = last[1]
         pa.m = m
         return pa
-    pa = _PairAnalysis(m, tol, cluster_gap)
+    pa = _PairAnalysis(m, tol)
     _last = key, pa
     return pa
 
@@ -274,14 +275,15 @@ def _analysis(
 
 
 def _verified_residual(
-    what: str, approx, target, recon_tol: float, scale: float
+    what: str, approx, target, recon_tol: float, scale: float, k: int = 0
 ) -> float:
     """max-modulus residual of approx against target, both component pairs
-    (A, B), or ``VerificationFailed`` unless it is at most recon_tol times
-    the finite ``scale`` of target, ``_norm_inf(*target)``:
+    (A, B) given at 2^-k times their own scale, times 2^k, or
+    ``VerificationFailed`` unless it is at most recon_tol times the finite
+    ``scale`` of target, 2^k ``_norm_inf(*target)``:
     ``(approx - target).norm_inf()`` of the DCMatrix algebra, with no
     DCMatrix built."""
-    residual = _norm_inf(approx[0] - target[0], approx[1] - target[1])
+    residual = _norm_inf(approx[0] - target[0], approx[1] - target[1]) * 2.0**k
     if not residual <= recon_tol * scale < math.inf:
         raise VerificationFailed(
             f"{what} residual {residual:.3e} exceeds {recon_tol:.1e} * scale"
@@ -422,14 +424,14 @@ def naive_dc_svd(
     more than 1, ``NotDiagonalizable`` at every scale of m: J's blocks are
     read off the pair's normalized build before the gates run.
     """
-    pa = _analysis(m, tol, cluster_gap)
+    pa = _analysis(m, tol)
     if pa.ranks[0] < m.n:
         raise SingularComponent("component A is singular; coupling Q = A^-1 P D fails")
     if pa.ranks[1] < m.n:
         raise SingularComponent("diagonal factor D is singular; coupling fails")
-    if any(size > 1 for _, size in pa.jordan_factors()[0]):
+    if any(size > 1 for _, size in pa.jordan_factors(cluster_gap)[0]):
         raise NotDiagonalizable("AB has a defective eigenvalue at working precision")
-    jsvd = pa.jordan_svd(recon_tol)
+    jsvd = pa.jordan_svd(recon_tol, cluster_gap)
     return jsvd.u, jsvd.s, jsvd.v
 
 
@@ -475,20 +477,20 @@ def jordan_svd(
     by the gate ``polar_to_jsvd`` shares.  The construction draws no
     random numbers.
     """
-    pa = _analysis(m, tol, cluster_gap)
+    pa = _analysis(m, tol)
     if not pa.pinv_exists:
         raise PreconditionFailed(
             f"rank condition fails: rank(A,B,AB,BA) = {pa.ranks}"
         )
-    return pa.jordan_svd(recon_tol)
+    return pa.jordan_svd(recon_tol, cluster_gap)
 
 
-def _jordan_factors(pa: _PairAnalysis) -> tuple:
+def _jordan_factors(pa: _PairAnalysis, cluster_gap: float) -> tuple:
     """Jordan SVD factors of the ``_normalized`` pair of one meeting the rank
     condition: J's blocks, J, J+, P, P^-1, X and Y = X^-1 or None."""
     b, a = pa.operands
     # J's zero blocks are the n - rank BA that the rank quadruple counts
-    _, root_jf, p_inv = _sqrt_jordan(b @ a, pa.cluster_gap, pa.ranks[3])
+    _, root_jf, p_inv = _sqrt_jordan(b @ a, cluster_gap, pa.ranks[3])
     p, j = root_jf.p, root_jf.j
     j_pinv = _jordan_pinv(j)
 
@@ -504,11 +506,11 @@ def _jordan_factors(pa: _PairAnalysis) -> tuple:
     return root_jf.blocks, j, j_pinv, p, p_inv, x, y
 
 
-def _jordan_svd(pa: _PairAnalysis, recon_tol: float) -> JordanSVD:
+def _jordan_svd(pa: _PairAnalysis, recon_tol: float, cluster_gap: float) -> JordanSVD:
     """``jordan_svd`` of a pair meeting the rank condition: the pair's
     ``jordan_factors`` rescaled by exact powers of two, J by 2^c,
     c = (ea + eb) / 2, P and X by ``_rescaled``, X by 2^((ea - eb) / 2)."""
-    blocks, j, _, p, p_inv, x, y = pa.jordan_factors()
+    blocks, j, _, p, p_inv, x, y = pa.jordan_factors(cluster_gap)
     if y is None:
         raise VerificationFailed("U is not unitary: X is singular")
     blocks, j, d = _rescaled(blocks, j, (pa.ea + pa.eb) // 2)
@@ -613,11 +615,27 @@ def _verified_polar(
     jsvd: JordanSVD, m: DCMatrix, recon_tol: float, scale: float
 ) -> tuple[PolarDecomposition, float]:
     """``jsvd_to_polar`` of a Jordan SVD of m, with its residual against m
-    checked by the polar gate at m's ``scale``."""
-    pd = jsvd_to_polar(jsvd)
-    uf, hf = pd.unitary_factor, pd.hermitian_factor
-    uh = _product((uf.a, uf.b), (hf.a, hf.b))
-    return pd, _verified_residual("polar", uh, (m.a, m.b), recon_tol, scale)
+    checked by the polar gate at m's ``scale``.  Where J's largest modulus is
+    2^k or more, k >= 512, both are formed at that power of two: H' from
+    S / 2^k and U H' against m / 2^k, so near the top of the range neither
+    overflows, and ``_pow2`` returns H = 2^k H' or refuses one that leaves
+    the range.  Below 2^512 (k = 0) these products of J with factors of
+    about V's size twice would need such a factor past 2^256 to overflow."""
+    top = max([abs(lam) for lam, _ in jsvd.blocks], default=0.0)
+    k = math.frexp(top)[1] - 1 if top >= 2.0**512 else 0
+    target = m.a, m.b
+    if k:
+        down, s = 2.0**-k, jsvd.s
+        s = DCMatrix._built(s.a * down, s.b * down)
+        jsvd = JordanSVD(jsvd.u, s, jsvd.v, jsvd.blocks, jsvd.residual)
+        target = m.a * down, m.b * down
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses overflow
+        pd = jsvd_to_polar(jsvd)
+        uf, hf = pd.unitary_factor, pd.hermitian_factor
+        uh = _product((uf.a, uf.b), (hf.a, hf.b))
+        residual = _verified_residual("polar", uh, target, recon_tol, scale, k)
+    h = DCMatrix._built(_pow2(hf.a, k), _pow2(hf.b, k))
+    return PolarDecomposition(uf, h), residual
 
 
 def polar(
@@ -630,11 +648,13 @@ def polar(
 ) -> PolarDecomposition:
     """Polar decomposition m = U P obtained from the Jordan SVD.
 
-    Exists exactly when the Jordan SVD construction succeeds; errors
-    from ``jordan_svd`` propagate unchanged.  ``rng`` is ignored.
+    Exists when the Jordan SVD construction succeeds; errors from
+    ``jordan_svd`` propagate unchanged.  Near the top of the range P is
+    formed at J's power of two (``_verified_polar``), and one that leaves
+    the double range raises ``VerificationFailed``.  ``rng`` is ignored.
     """
     jsvd = jordan_svd(m, tol, recon_tol=recon_tol, cluster_gap=cluster_gap)
-    scale = _analysis(m, tol, cluster_gap).scale  # the memo's: m is read once
+    scale = _analysis(m, tol).scale  # the memo's: m is read once
     return _verified_polar(jsvd, m, recon_tol, scale)[0]
 
 
@@ -660,13 +680,13 @@ def pinv(
     once on the way out, so a K near the ends of the range is formed without
     overflow; one that leaves the range raises ``VerificationFailed``, while
     entries below the normal range are kept rounded, as m's own may be."""
-    pa = _analysis(m, tol, cluster_gap)
+    pa = _analysis(m, tol)
     if not pa.pinv_exists:
         raise NoPseudoinverse(
             f"no pseudoinverse: rank(A,B,AB,BA) = {list(pa.ranks)}"
         )
-    pa.jordan_svd(recon_tol)  # the factors pass the gates at m's scale first
-    _, _, j_pinv, p, p_inv, x, y = pa.jordan_factors()
+    pa.jordan_svd(recon_tol, cluster_gap)  # the factors pass the gates first
+    _, _, j_pinv, p, p_inv, x, y = pa.jordan_factors(cluster_gap)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         cd = np.array((p @ j_pinv @ y, x @ (j_pinv @ p_inv)))
     k = _unnormalized(cd, pa)
@@ -742,12 +762,11 @@ def attempt_jordan_svd(
     otherwise: equal word ranks prove existence, but only those two routes
     build factors.
     """
-    pa = _analysis(m, tol, cluster_gap)
-    return _attempt_jordan_svd(pa, recon_tol)
+    return _attempt_jordan_svd(_analysis(m, tol), recon_tol, cluster_gap)
 
 
 def _attempt_jordan_svd(
-    pa: _PairAnalysis, recon_tol: float = DEFAULT_RECON_TOL
+    pa: _PairAnalysis, recon_tol: float, cluster_gap: float
 ) -> tuple[JordanSVD | None, ExistenceReport]:
     rank_ok, nec = pa.pinv_exists, pa.necessary()
     failed = [i + 1 for i, ok in enumerate(nec) if not ok]
@@ -761,10 +780,10 @@ def _attempt_jordan_svd(
     if reason is None:
         try:
             if rank_ok:
-                jsvd = pa.jordan_svd(recon_tol)
+                jsvd = pa.jordan_svd(recon_tol, cluster_gap)
             else:
                 jsvd = hermitian_jsvd(
-                    pa.m, pa.tol, recon_tol=recon_tol, cluster_gap=pa.cluster_gap
+                    pa.m, pa.tol, recon_tol=recon_tol, cluster_gap=cluster_gap
                 )
             status = JsvdStatus.EXISTS
         except PreconditionFailed:  # the Hermitian route's: m is not [H, H]

@@ -31,6 +31,7 @@ from .complex_linalg import (
 )
 from .dcnum import DEFAULT_TOL
 from .decompositions import (
+    DEFAULT_RECON_TOL,
     JsvdStatus,
     jordan_svd,
     jsvd_to_polar,
@@ -258,8 +259,9 @@ def generate_pair(profile: str, n: int, rng: np.random.Generator) -> DCMatrix:
     ranks            components rank-deficient via factor products, with
                      ranks drawn independently (probes all rank cells);
     invertible       dense, redrawn until both components have full rank
-                     by the library's rank rule (``rank_quadruple``), so
-                     the accepted draw's analysis is in the memo;
+                     by the library's rank rule (``rank_quadruple``) at
+                     the default tol, so the accepted draw's analysis is
+                     in the memo for a trial at that tol and any gap;
     jordan           AB gets a prescribed random Jordan structure through
                      an invertible coupling B = A^-1 (P J P^-1);
     counterexample   embeds the diag(0,1) / nilpotent-shift structure
@@ -353,10 +355,11 @@ def _run_trial(
 ) -> TrialRecord:
     """``run_trial`` on ``rng``, a generator in the state
     ``default_rng(seed)`` starts in.  The pair is read through the memo:
-    an ``invertible`` draw was analysed by its redraw test."""
-    pa = _analysis(generate_pair(profile, n, rng), tol, cluster_gap)
+    an ``invertible`` draw was analysed by its redraw test, at the default
+    tol."""
+    pa = _analysis(generate_pair(profile, n, rng), tol)
     sim = pa.ab_similar_ba()
-    jsvd, report = _attempt_jordan_svd(pa)
+    jsvd, report = _attempt_jordan_svd(pa, DEFAULT_RECON_TOL, cluster_gap)
     status = report.jsvd_status
     blocks = _blocks_as_json(jsvd.blocks) if jsvd is not None else None
     residual = jsvd.residual if jsvd is not None else None

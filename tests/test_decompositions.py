@@ -664,6 +664,35 @@ class TestPolar:
         with pytest.raises(PreconditionFailed):
             polar(counterexample_pair())
 
+    @staticmethod
+    def top_of_range_pair(seed):
+        """A rank-condition pair scaled to a largest modulus of 1.7e308."""
+        rng = np.random.default_rng(seed)
+        m = rank_condition_pair(int(rng.integers(2, 6)), rng)
+        s = 1.7e308 / m.norm_inf()
+        return DCMatrix(s * m.a, s * m.b)
+
+    @pytest.mark.filterwarnings("error")
+    def test_top_of_range_builds(self):
+        # U H overflows at the pair's own scale; formed at J's power of two,
+        # H is kept: U H - m checked at 2^-1000 of it, where nothing overflows
+        m = self.top_of_range_pair(17)
+        jordan_svd(m)
+        pd = polar(m)
+        uf, hf, s = pd.unitary_factor, pd.hermitian_factor, 2.0**-1000
+        assert uf.is_unitary(1e-8)
+        assert hf.is_hermitian(1e-8 * hf.norm_inf())
+        uh = uf @ DCMatrix(s * hf.a, s * hf.b)
+        assert (uh - DCMatrix(s * m.a, s * m.b)).norm_inf() <= 1e-7 * s * m.norm_inf()
+
+    @pytest.mark.filterwarnings("error")
+    def test_top_of_range_h_leaving_the_range_is_refused(self):
+        # the Jordan SVD builds, but H = V S V* is past the largest double
+        m = self.top_of_range_pair(3)
+        jordan_svd(m)
+        with pytest.raises(VerificationFailed, match="leaves the range"):
+            polar(m)
+
 
 class TestPolarToJsvd:
     def test_unitary_polar_gives_identity_s(self):
@@ -1486,6 +1515,24 @@ class TestPairAnalysedOnce:
         polar(m)
         assert counts == {"jordan": 0, "svd": 0, "inv": 0}
 
+    def test_another_gap_shares_the_analysis(self, counts):
+        # the draw analysed m at the default gap; at another gap only the
+        # Jordan SVD is built again: 1 Jordan form, P^-1 from its gate and X,
+        # then the direct sums' stacked SVD and inversion
+        m = rank_condition_pair(4, np.random.default_rng(5), r=3)
+        counts.update(jordan=0, svd=0, inv=0)
+        pinv(m, cluster_gap=1e-9)
+        pinv_via_diagrams(m)
+        polar(m, cluster_gap=1e-9)
+        assert counts == {"jordan": 1, "svd": 1, "inv": 3}
+
+    def test_invertible_trial_at_another_gap(self, counts):
+        # the redraw test ranks at the default gap, the trial at 1e-9: one
+        # analysis, so one level-1 SVD, as at the default gap
+        record = explorer.run_trial(7, "invertible", 4, cluster_gap=1e-9)
+        assert record.jsvd_status == "exists"
+        assert counts == {"jordan": 1, "svd": 1, "inv": 2}
+
     def test_naive_svd_after_pinv(self, counts):
         # the naive SVD is the memo's Jordan SVD: nothing is computed again
         m = explorer.generate_pair("invertible", 4, np.random.default_rng(3))
@@ -1695,8 +1742,8 @@ def _as_bytes(result) -> bytes:
 
 class TestAnalysisMemo:
     """The last pair analysed is kept in a one-slot memo keyed by its
-    content, tol and cluster_gap; its analysis keeps one Jordan SVD, or its
-    refusal, per recon_tol."""
+    content and tol; its analysis keeps one Jordan SVD build per cluster_gap
+    and one Jordan SVD, or its refusal, per recon_tol and cluster_gap."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
@@ -1747,12 +1794,33 @@ class TestAnalysisMemo:
         assert second is not first
         assert second.ranks == first.ranks
 
+    @pytest.fixture
+    def factor_builds(self, monkeypatch):
+        calls = []
+        original = decompositions._jordan_factors
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(decompositions, "_jordan_factors", counted)
+        return calls
+
     @pytest.mark.parametrize("change", [{"tol": 1e-8}, {"cluster_gap": 1e-7}])
-    def test_other_tolerances_miss(self, change):
+    def test_other_tolerances_miss(self, change, factor_builds):
+        # another tol misses the analysis; another cluster_gap hits it and
+        # misses only the factor build, which keeps the first gap's
         m = self.pair()
         options = {"tol": DEFAULT_TOL, "cluster_gap": 1e-6, **change}
-        first = decompositions._analysis(m, DEFAULT_TOL, 1e-6)
-        assert decompositions._analysis(m, **options) is not first
+        first = decompositions._analysis(m, DEFAULT_TOL)
+        jordan_svd(m, cluster_gap=1e-6)
+        jordan_svd(m, **options)
+        hit = decompositions._analysis(m, options["tol"]) is first
+        assert hit == ("cluster_gap" in change)
+        assert len(factor_builds) == 2
+        if hit:
+            jordan_svd(m, cluster_gap=1e-6)
+            assert len(factor_builds) == 2
 
     def test_other_recon_tol_rebuilds(self, builds):
         m = self.pair()
@@ -1808,6 +1876,38 @@ class TestAnalysisMemo:
                         wrong.append(j)
                 except TessarineError as ex:
                     wrong.append(ex)
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and not wrong
+
+    def test_threads_share_an_analysis_across_gaps(self):
+        # one pair at two gaps, one analysis: roots 1.5e-6 apart are
+        # ambiguous at 1e-6 and resolved at 1e-9, so each thread must get
+        # its own gap's outcome from the shared analysis
+        m = DCMatrix(np.eye(3), np.diag([1, 1 + 3e-6, 2]))
+        expected = _as_bytes(pinv(m, cluster_gap=1e-9))
+        wrong, done = [], []
+
+        def work(k):
+            for i in range(40):
+                try:
+                    got = _as_bytes(pinv(m, cluster_gap=(1e-6, 1e-9)[(i + k) % 2]))
+                    ok = (i + k) % 2 == 1 and got == expected
+                except ClusterAmbiguity:
+                    ok = (i + k) % 2 == 0
+                if not ok:
+                    wrong.append((k, i))
             done.append(k)
 
         interval = sys.getswitchinterval()
